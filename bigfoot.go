@@ -35,7 +35,6 @@ import (
 
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/engine"
-	"bigfoot/internal/interp"
 	"bigfoot/internal/metrics"
 	"bigfoot/internal/trace"
 )
@@ -54,7 +53,7 @@ var defaultEngine = engine.New(engine.Options{Metrics: defaultRegistry})
 
 // Metrics returns the process-wide registry behind every facade
 // execution: per-variant build/run latency histograms, detector work
-// counters, and pipeline transport costs.  Callers can serve it over
+// counters, and fast-path hits.  Callers can serve it over
 // HTTP (Metrics().Handler()), dump it (Metrics().WriteText), or walk
 // the typed Snapshot.  Recording is passive — it never perturbs
 // detection results, which stay byte-identical with or without a
@@ -355,13 +354,19 @@ func (i *Instrumented) RunContext(ctx context.Context, cfg RunConfig) (*Report, 
 }
 
 // RunBase executes the original (uninstrumented) program, returning its
-// print output and basic counters — useful for overhead baselines.
+// print output and basic counters — useful for overhead baselines.  It
+// runs on the same engine path as every detected execution, just
+// without a detector.
 func (p *Program) RunBase(cfg RunConfig) (accesses uint64, err error) {
-	c, err := interp.Run(p.ast, interp.NopHook{}, interp.Options{Seed: cfg.Seed, Out: cfg.Out, MaxSteps: cfg.MaxSteps})
+	v, err := engine.InstrumentFor(p.ast, engine.BaseVariant).Compile()
 	if err != nil {
 		return 0, err
 	}
-	return c.Accesses(), nil
+	out, err := defaultEngine.Run(context.Background(), v, engine.RunSpec{Seed: cfg.Seed, Out: cfg.Out, MaxSteps: cfg.MaxSteps})
+	if err != nil {
+		return 0, err
+	}
+	return out.Counters.Accesses(), nil
 }
 
 // CheckRaces is the one-call convenience API: instrument with BigFoot

@@ -155,6 +155,12 @@ type Stats struct {
 	PeakWords    uint64 // high-water mark of ShadowWords (exact, incremental)
 	Refinements  int    // array representation changes
 
+	// FieldChecks and ArrayChecks split the executed check items into
+	// CheckField and CheckRange events (Figure 8).  Thread 0 is excluded
+	// to match the interpreter's CheckItems counter.
+	FieldChecks uint64
+	ArrayChecks uint64
+
 	Fast FastPathStats // fast-path hit counters (not part of signatures)
 }
 
@@ -435,6 +441,9 @@ func (d *Detector) slotOf(key string) int {
 // the ShadowOps column of the deterministic reports must not depend on
 // which path handled the event.
 func (d *Detector) CheckField(t int, write bool, o *interp.Object, fc *interp.FieldCheck) {
+	if t != 0 {
+		d.Stats.FieldChecks++
+	}
 	if d.cfg.TestDropFieldChecks {
 		return
 	}
@@ -520,6 +529,9 @@ func (d *Detector) CheckField(t int, write bool, o *interp.Object, fc *interp.Fi
 
 // CheckRange implements interp.Hook.
 func (d *Detector) CheckRange(t int, write bool, a *interp.Array, lo, hi, step int, poss []bfj.Pos) {
+	if t != 0 {
+		d.Stats.ArrayChecks++
+	}
 	pos := firstPos(poss)
 	if d.cfg.Footprints {
 		d.arrByID[a.ID] = a

@@ -195,3 +195,29 @@ func TestDemotionCensusBalances(t *testing.T) {
 		t.Fatalf("churn did not exercise both transitions: %+v", d.Stats.Fast)
 	}
 }
+
+// TestCheckSplitCounts: the detector counts every CheckField and
+// CheckRange event from a worker thread (thread 0 is excluded, matching
+// the interpreter's CheckItems), including field checks that
+// TestDropFieldChecks then ignores.
+func TestCheckSplitCounts(t *testing.T) {
+	for _, drop := range []bool{false, true} {
+		for _, footprints := range []bool{false, true} {
+			d := New(Config{Name: "split", Footprints: footprints, TestDropFieldChecks: drop})
+			obj := benchObject()
+			fc := fieldCheck(0, "f")
+			a := &interp.Array{ID: 1, Elems: make([]interp.Value, 8)}
+			d.CheckField(0, true, obj, fc) // setup thread: not counted
+			d.CheckRange(0, true, a, 0, 8, 1, nil)
+			d.CheckField(1, false, obj, fc)
+			d.CheckField(1, true, obj, fc)
+			d.CheckRange(1, true, a, 0, 4, 1, nil)
+			d.CheckField(2, false, obj, fc)
+			d.CheckRange(2, false, a, 4, 8, 2, nil)
+			if d.Stats.FieldChecks != 3 || d.Stats.ArrayChecks != 2 {
+				t.Errorf("drop=%v footprints=%v: split (%d,%d), want (3,2)",
+					drop, footprints, d.Stats.FieldChecks, d.Stats.ArrayChecks)
+			}
+		}
+	}
+}

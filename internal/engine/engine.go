@@ -20,6 +20,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -42,8 +43,9 @@ import (
 // request fields) onto them.
 var VariantNames = []string{"FT", "RC", "SS", "SC", "BF"}
 
-// BaseVariant labels the uninstrumented configuration in recorded trace
-// headers (it is not a detector variant name).
+// BaseVariant names the uninstrumented configuration: Artifact.Base,
+// its outcomes and metrics, and recorded trace headers.  It is not a
+// detector variant name; Run builds no detector for it.
 const BaseVariant = "base"
 
 // IsVariantName reports whether name is one of the five canonical
@@ -79,10 +81,10 @@ type Options struct {
 	// build failures).  nil discards.
 	Logf Logf
 	// Metrics receives the engine's instruments: build/run latency
-	// histograms, outcome and cache counters, pipeline totals.  nil
-	// meters into detached instruments (no exposition, negligible
-	// cost).  Deterministic counters are folded in only after each run
-	// completes, so attaching a registry never perturbs signatures.
+	// histograms, outcome and cache counters.  nil meters into detached
+	// instruments (no exposition, negligible cost).  Deterministic
+	// counters are folded in only after each run completes, so
+	// attaching a registry never perturbs signatures.
 	Metrics *metrics.Registry
 }
 
@@ -142,10 +144,13 @@ type Placement struct {
 }
 
 // InstrumentFor places race checks on base according to the named
-// variant's placement strategy.  The base AST is not mutated.
+// variant's placement strategy; BaseVariant places none.  The base AST
+// is not mutated.
 func InstrumentFor(base *bfj.Program, name string) *Placement {
 	p := &Placement{Name: name}
 	switch name {
+	case BaseVariant:
+		p.Prog = base
 	case "FT", "SS":
 		prog, st := instrument.EveryAccess(base)
 		p.Prog = prog
@@ -164,9 +169,9 @@ func InstrumentFor(base *bfj.Program, name string) *Placement {
 	return p
 }
 
-// Variant is one compiled detector configuration: the execution
-// artifact plus everything Run needs to assemble its detector.  It is
-// immutable and goroutine-safe.
+// Variant is one compiled configuration: the execution artifact plus
+// everything Run needs to assemble its detector (none for the
+// BaseVariant).  It is immutable and goroutine-safe.
 type Variant struct {
 	Name       string
 	Compiled   *interp.Compiled
@@ -186,14 +191,19 @@ func (p *Placement) Compile() (*Variant, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.variant(p.Name, c), nil
+}
+
+// variant wraps a compilation of the placement as the named variant.
+func (p *Placement) variant(name string, c *interp.Compiled) *Variant {
 	return &Variant{
-		Name:       p.Name,
+		Name:       name,
 		Compiled:   c,
-		Footprints: footprintsFor(p.Name),
+		Footprints: footprintsFor(name),
 		Proxies:    p.Proxies,
 		Stats:      p.Stats,
 		prog:       p.Prog,
-	}, nil
+	}
 }
 
 // BuildTimings records the wall-clock cost of the three preparation
@@ -246,9 +256,10 @@ type UsageError struct{ Msg string }
 func (e *UsageError) Error() string { return e.Msg }
 
 // Artifact is the compile-once product of one program: the requested
-// variants (paper order) and optionally the uninstrumented base.  It is
-// immutable and goroutine-safe; one artifact backs any number of
-// concurrent Run calls.
+// detector variants (paper order) and optionally the uninstrumented
+// base, a BaseVariant kept out of Variants.  It is immutable and
+// goroutine-safe; one artifact backs any number of concurrent Run
+// calls.
 type Artifact struct {
 	// Hash is the content address of the source this artifact was built
 	// from (empty when built from a bare AST).
@@ -258,7 +269,7 @@ type Artifact struct {
 	Stats   PlacementStats
 	Timings BuildTimings
 
-	Base     *interp.Compiled
+	Base     *Variant
 	Variants []*Variant
 
 	byName map[string]*Variant
@@ -329,25 +340,18 @@ func (e *Engine) BuildAST(base *bfj.Program, spec BuildSpec) (*Artifact, error) 
 			compiled[p] = b
 		}
 		e.m.buildSeconds.With(n).ObserveDuration(b.d)
-		v := &Variant{
-			Name:       n,
-			Compiled:   b.c,
-			Footprints: footprintsFor(n),
-			Proxies:    p.Proxies,
-			Stats:      p.Stats,
-			prog:       p.Prog,
-		}
+		v := p.variant(n, b.c)
 		art.Variants = append(art.Variants, v)
 		art.byName[n] = v
 	}
 	if spec.WithBase {
 		one := time.Now()
-		c, err := interp.Compile(base)
+		v, err := InstrumentFor(base, BaseVariant).Compile()
 		if err != nil {
-			return nil, &BuildError{Variant: "base", Err: err}
+			return nil, &BuildError{Variant: BaseVariant, Err: err}
 		}
 		e.m.buildSeconds.With(BaseVariant).ObserveDuration(time.Since(one))
-		art.Base = c
+		art.Base = v
 	}
 	return art, nil
 }
@@ -409,7 +413,7 @@ func (e *Engine) BuildSource(src string, spec BuildSpec) (*Artifact, bool, error
 	return art, hit, nil
 }
 
-// RunSpec configures one detected execution.
+// RunSpec configures one execution.
 type RunSpec struct {
 	// DetectorName labels the detector in race reports and stats; empty
 	// uses the variant's canonical name.
@@ -434,13 +438,6 @@ type RunSpec struct {
 	// RecordMeta labels a recorded trace's header (ignored when Record
 	// is nil).
 	RecordMeta RecordMeta
-	// PipelineChunk, when > 0, decouples detection from interpretation:
-	// hook events are batched into chunks of this many events and
-	// consumed by a detector goroutine behind a bounded channel
-	// (backpressure).  Deterministic counters and signatures are
-	// byte-identical to the synchronous path (0).  Negative uses the
-	// default chunk size.
-	PipelineChunk int
 	// DebugCensus cross-checks the incremental space census (slow;
 	// diagnostic only).
 	DebugCensus bool
@@ -448,9 +445,6 @@ type RunSpec struct {
 	// and adaptive read demotion (observationally neutral; diagnostic
 	// and A/B benchmarking only).
 	DisableFastPaths bool
-	// CountChecks tallies executed field vs. array check items into the
-	// outcome (the Figure 8 split).
-	CountChecks bool
 }
 
 // RecordMeta is the workload identity stamped into a recorded trace's
@@ -480,6 +474,8 @@ type Outcome struct {
 	Races        []detector.Race
 	ArrayModes   map[string]int
 
+	// FieldChecks and ArrayChecks split the executed check items into
+	// field and array checks (the Figure 8 split).
 	FieldChecks uint64
 	ArrayChecks uint64
 
@@ -488,70 +484,59 @@ type Outcome struct {
 	// DisableFastPaths set, except promotions, which FastTrack always
 	// performs).
 	FastPaths detector.FastPathStats
-
-	// Pipeline carries the streaming pipeline's drain and backpressure
-	// measurements; nil when the run was synchronous (PipelineChunk 0).
-	Pipeline *trace.PipelineStats
 }
 
-// countingHook forwards every event to the wrapped detector hook while
-// tallying executed field vs. array check items (Figure 8's split).
-// Hook callbacks run on the scheduler token, so the counts need no
-// synchronization.  Thread 0 is excluded to match the interpreter's
-// check counters.
-type countingHook struct {
-	interp.Hook
-	fields, arrays uint64
-}
-
-func (c *countingHook) CheckField(t int, w bool, o *interp.Object, fc *interp.FieldCheck) {
-	if t != 0 {
-		c.fields++
+// newDetection builds one execution's detector and hook chain: the
+// BFTR writer first (the persisted stream is the pristine hook order,
+// ahead of recorder and detector side effects), then the ring recorder
+// (each check event is recorded before the detector emits the observer
+// events it derives from that check), then the detector.  A nil cfg is
+// the base configuration: no detector, and d is nil.
+func newDetection(cfg *detector.Config, rec *trace.Recorder, tw *trace.Writer) (d *detector.Detector, hook interp.Hook) {
+	hooks := make([]interp.Hook, 0, 3)
+	if tw != nil {
+		hooks = append(hooks, tw)
 	}
-	c.Hook.CheckField(t, w, o, fc)
-}
-
-func (c *countingHook) CheckRange(t int, w bool, a *interp.Array, lo, hi, step int, poss []bfj.Pos) {
-	if t != 0 {
-		c.arrays++
+	if rec != nil {
+		hooks = append(hooks, rec)
 	}
-	c.Hook.CheckRange(t, w, a, lo, hi, step, poss)
+	if cfg != nil {
+		d = detector.New(*cfg)
+		if rec != nil {
+			d.SetObserver(rec)
+		}
+		hooks = append(hooks, d)
+	}
+	return d, trace.Tee(hooks...)
 }
 
-// Run executes one variant under its detector.  This is the single
-// execution path of the system: detector construction, hook assembly
-// (check counting, trace recording), budget enforcement, and outcome
-// extraction all live here.  The returned Outcome is populated (with
-// whatever completed) even when err is non-nil, so batch clients can
-// attribute partial work.
+// fillDetector copies the detector's findings and dynamic cost into
+// out; a nil detector (base run) leaves the fields zero.
+func fillDetector(out *Outcome, d *detector.Detector) {
+	if d == nil {
+		return
+	}
+	out.ShadowOps = d.Stats.ShadowOps
+	out.FootprintOps = d.Stats.FootprintOps
+	out.PeakWords = d.Stats.PeakWords
+	out.Races = d.Races()
+	out.ArrayModes = d.ArrayModes()
+	out.FieldChecks = d.Stats.FieldChecks
+	out.ArrayChecks = d.Stats.ArrayChecks
+	out.FastPaths = d.Stats.Fast
+}
+
+// Run executes one variant — or the uninstrumented base, which runs
+// without a detector — under the budgets.  This is the single execution
+// path of the system: detector construction, hook assembly (trace
+// recording), budget enforcement, and outcome extraction all live here.
+// The returned Outcome is populated (with whatever completed) even when
+// err is non-nil, so batch clients can attribute partial work.
 func (e *Engine) Run(ctx context.Context, v *Variant, spec RunSpec) (*Outcome, error) {
-	name := spec.DetectorName
-	if name == "" {
-		name = v.Name
-	}
-	d := detector.New(detector.Config{
-		Name:             name,
-		Footprints:       v.Footprints,
-		Proxies:          v.Proxies,
-		DebugCensus:      spec.DebugCensus,
-		DisableFastPaths: spec.DisableFastPaths,
-	})
-	var hook interp.Hook = d
-	var counting *countingHook
-	if spec.CountChecks {
-		counting = &countingHook{Hook: d}
-		hook = counting
-	}
-	if spec.Trace != nil {
-		// Recorder first: each check event must be recorded before the
-		// detector emits the observer events it derives from that check.
-		hook = trace.Tee(spec.Trace, hook)
-		d.SetObserver(spec.Trace)
-	}
 	var tw *trace.Writer
 	if spec.Record != nil {
-		var werr error
-		tw, werr = trace.NewWriter(spec.Record, trace.Header{
+		var err error
+		tw, err = trace.NewWriter(spec.Record, trace.Header{
 			Program:  spec.RecordMeta.Program,
 			Suite:    spec.RecordMeta.Suite,
 			Variant:  v.Name,
@@ -561,109 +546,41 @@ func (e *Engine) Run(ctx context.Context, v *Variant, spec RunSpec) (*Outcome, e
 			Bodies:   spec.RecordMeta.Bodies,
 			Placed:   spec.RecordMeta.Placed,
 		})
-		if werr != nil {
-			return &Outcome{Variant: v.Name}, fmt.Errorf("trace record: %w", werr)
-		}
-		// Writer first: the persisted stream is the pristine hook order,
-		// ahead of recorder and detector side effects.
-		hook = trace.Tee(tw, hook)
-	}
-	var pl *trace.Pipeline
-	if spec.PipelineChunk != 0 {
-		pl = trace.NewPipeline(hook, spec.PipelineChunk)
-		pl.DepthGauge = e.m.pipeDepth
-		hook = pl
-	}
-	out, err := e.exec(ctx, v.Compiled, hook, spec)
-	if pl != nil {
-		// Drain explicitly: on error paths the interpreter never calls
-		// Finish, and downstream state (detector stats, trace writer)
-		// must be complete before we read it below.
-		pl.Close()
-		st := pl.Stats()
-		out.Pipeline = &st
-	}
-	if tw != nil {
-		if werr := tw.Close(out.Counters, err); werr != nil && err == nil {
-			err = fmt.Errorf("trace record: %w", werr)
+		if err != nil {
+			return &Outcome{Variant: v.Name}, fmt.Errorf("trace record: %w", err)
 		}
 	}
-	out.Variant = v.Name
-	out.ShadowOps = d.Stats.ShadowOps
-	out.FootprintOps = d.Stats.FootprintOps
-	out.PeakWords = d.Stats.PeakWords
-	out.Races = d.Races()
-	out.ArrayModes = d.ArrayModes()
-	out.FastPaths = d.Stats.Fast
-	if counting != nil {
-		out.FieldChecks, out.ArrayChecks = counting.fields, counting.arrays
-	}
-	e.observeRun(v.Name, out, err)
-	return out, err
-}
-
-// RunBase executes the uninstrumented base artifact (no detector) under
-// the same budget enforcement as Run.  Recorded base traces carry
-// variant "base"; replaying one reproduces the base counters without
-// re-interpreting.
-func (e *Engine) RunBase(ctx context.Context, base *interp.Compiled, spec RunSpec) (*Outcome, error) {
-	var hook interp.Hook = interp.NopHook{}
-	if spec.Trace != nil {
-		hook = trace.Tee(spec.Trace, hook)
-	}
-	var tw *trace.Writer
-	if spec.Record != nil {
-		var werr error
-		tw, werr = trace.NewWriter(spec.Record, trace.Header{
-			Program:  spec.RecordMeta.Program,
-			Suite:    spec.RecordMeta.Suite,
-			Variant:  BaseVariant,
-			Seed:     spec.Seed,
-			MaxSteps: spec.MaxSteps,
-			Bodies:   spec.RecordMeta.Bodies,
-			Placed:   spec.RecordMeta.Placed,
-		})
-		if werr != nil {
-			return &Outcome{}, fmt.Errorf("trace record: %w", werr)
-		}
-		hook = trace.Tee(tw, hook)
-	}
-	var pl *trace.Pipeline
-	if spec.PipelineChunk != 0 {
-		pl = trace.NewPipeline(hook, spec.PipelineChunk)
-		pl.DepthGauge = e.m.pipeDepth
-		hook = pl
-	}
-	out, err := e.exec(ctx, base, hook, spec)
-	if pl != nil {
-		pl.Close()
-		st := pl.Stats()
-		out.Pipeline = &st
-	}
-	if tw != nil {
-		if werr := tw.Close(out.Counters, err); werr != nil && err == nil {
-			err = fmt.Errorf("trace record: %w", werr)
+	var cfg *detector.Config
+	if v.Name != BaseVariant {
+		cfg = &detector.Config{
+			Name:             cmp.Or(spec.DetectorName, v.Name),
+			Footprints:       v.Footprints,
+			Proxies:          v.Proxies,
+			DebugCensus:      spec.DebugCensus,
+			DisableFastPaths: spec.DisableFastPaths,
 		}
 	}
-	e.observeRun(BaseVariant, out, err)
-	return out, err
-}
-
-// exec runs one compiled artifact under the budgets, timing exactly the
-// interpreter execution.
-func (e *Engine) exec(ctx context.Context, c *interp.Compiled, hook interp.Hook, spec RunSpec) (*Outcome, error) {
+	d, hook := newDetection(cfg, spec.Trace, tw)
 	if spec.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, spec.Timeout)
 		defer cancel()
 	}
 	start := time.Now()
-	cnt, err := c.RunContext(ctx, hook, interp.Options{
+	cnt, err := v.Compiled.RunContext(ctx, hook, interp.Options{
 		Seed:     spec.Seed,
 		Out:      spec.Out,
 		MaxSteps: spec.MaxSteps,
 	})
-	return &Outcome{Duration: time.Since(start), Counters: cnt}, err
+	out := &Outcome{Variant: v.Name, Duration: time.Since(start), Counters: cnt}
+	if tw != nil {
+		if werr := tw.Close(out.Counters, err); werr != nil && err == nil {
+			err = fmt.Errorf("trace record: %w", werr)
+		}
+	}
+	fillDetector(out, d)
+	e.observeRun(v.Name, out, err)
+	return out, err
 }
 
 // IsBudget reports whether err is budget exhaustion — a cancelled or

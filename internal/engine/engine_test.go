@@ -147,18 +147,20 @@ func TestRunDetectsRaces(t *testing.T) {
 			t.Errorf("%s: empty counters: %+v", v.Name, out)
 		}
 	}
-	out, err := e.RunBase(context.Background(), art.Base, RunSpec{Seed: 1})
+	out, err := e.Run(context.Background(), art.Base, RunSpec{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ShadowOps != 0 || len(out.Races) != 0 {
+	if out.Variant != BaseVariant || out.ShadowOps != 0 || len(out.Races) != 0 || out.FieldChecks != 0 || out.FastPaths.Total() != 0 {
 		t.Errorf("base run has detector state: %+v", out)
 	}
 }
 
+// TestCountChecksSplit: every detected run fills in the Figure 8 field/array
+// split, and it adds up to the executed check items.
 func TestCountChecksSplit(t *testing.T) {
 	e, art := buildAll(t, racy)
-	out, err := e.Run(context.Background(), art.Variant("FT"), RunSpec{Seed: 1, CountChecks: true})
+	out, err := e.Run(context.Background(), art.Variant("FT"), RunSpec{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +224,7 @@ func TestConcurrentSharedCompiled(t *testing.T) {
 	want := map[key]string{}
 	for _, v := range art.Variants {
 		for s := int64(0); s < seeds; s++ {
-			out, err := e.Run(context.Background(), v, RunSpec{Seed: s, CountChecks: true})
+			out, err := e.Run(context.Background(), v, RunSpec{Seed: s})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +241,7 @@ func TestConcurrentSharedCompiled(t *testing.T) {
 			for i := 0; i < 2*seeds; i++ {
 				s := int64((g + i) % seeds)
 				v := art.Variants[(g+i)%len(art.Variants)]
-				out, err := e.Run(context.Background(), v, RunSpec{Seed: s, CountChecks: true})
+				out, err := e.Run(context.Background(), v, RunSpec{Seed: s})
 				if err != nil {
 					errs <- err
 					return
@@ -248,7 +250,7 @@ func TestConcurrentSharedCompiled(t *testing.T) {
 					errs <- errors.New(v.Name + ": concurrent outcome diverged: " + got)
 					return
 				}
-				if _, err := e.RunBase(context.Background(), art.Base, RunSpec{Seed: s}); err != nil {
+				if _, err := e.Run(context.Background(), art.Base, RunSpec{Seed: s}); err != nil {
 					errs <- err
 					return
 				}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bigfoot/internal/detector"
-	"bigfoot/internal/interp"
 	"bigfoot/internal/proxy"
 	"bigfoot/internal/trace"
 )
@@ -24,8 +23,6 @@ type ReplaySpec struct {
 	// plus the detector's re-derived observer events) into a ring
 	// recorder, exactly as a live run would.
 	Trace *trace.Recorder
-	// CountChecks tallies field vs. array check items (Figure 8 split).
-	CountChecks bool
 	// DebugCensus cross-checks the detector's space census during
 	// replay.
 	DebugCensus bool
@@ -64,9 +61,11 @@ func placementFamily(name string) string {
 
 // Replay feeds a recorded trace through a detector without
 // re-interpreting the program.  The stream is observationally identical
-// to the live run's hook stream, so every deterministic detector value
-// (shadow ops, footprint ops, peak words, races, array modes) is
-// reproduced exactly; interpreter counters come from the trace footer.
+// to the live run's hook stream, and the detector and its hook chain
+// are assembled exactly as Run assembles them, so every deterministic
+// detector value (shadow ops, footprint ops, peak words, races, array
+// modes, the field/array check split, fast-path hits) is reproduced
+// exactly; interpreter counters come from the trace footer.
 //
 // Base traces (variant "base") replay without a detector and reproduce
 // the base counters; requesting a detector variant for one is a usage
@@ -96,28 +95,16 @@ func Replay(r io.Reader, spec ReplaySpec) (*Replayed, error) {
 
 	res := &Replayed{Header: hdr, Outcome: &Outcome{Variant: name}}
 
-	var hook interp.Hook = interp.NopHook{}
-	var d *detector.Detector
-	var counting *countingHook
+	var cfg *detector.Config
 	if name != BaseVariant {
-		d = detector.New(detector.Config{
+		cfg = &detector.Config{
 			Name:        name,
 			Footprints:  footprintsFor(name),
 			Proxies:     proxy.FromPairs(hdr.ProxyRep),
 			DebugCensus: spec.DebugCensus,
-		})
-		hook = d
-		if spec.CountChecks {
-			counting = &countingHook{Hook: hook}
-			hook = counting
 		}
 	}
-	if spec.Trace != nil {
-		hook = trace.Tee(spec.Trace, hook)
-		if d != nil {
-			d.SetObserver(spec.Trace)
-		}
-	}
+	d, hook := newDetection(cfg, spec.Trace, nil)
 
 	start := time.Now()
 	n, err := rd.Replay(hook)
@@ -131,15 +118,6 @@ func Replay(r io.Reader, spec ReplaySpec) (*Replayed, error) {
 	if ftr.Err != "" {
 		res.RunErr = fmt.Errorf("recorded run failed: %s", ftr.Err)
 	}
-	if d != nil {
-		res.Outcome.ShadowOps = d.Stats.ShadowOps
-		res.Outcome.FootprintOps = d.Stats.FootprintOps
-		res.Outcome.PeakWords = d.Stats.PeakWords
-		res.Outcome.Races = d.Races()
-		res.Outcome.ArrayModes = d.ArrayModes()
-	}
-	if counting != nil {
-		res.Outcome.FieldChecks, res.Outcome.ArrayChecks = counting.fields, counting.arrays
-	}
+	fillDetector(res.Outcome, d)
 	return res, nil
 }

@@ -115,21 +115,11 @@ type DetectorResult struct {
 	// replayed reports (ReplayDir) the divisor is the replay's own
 	// detection time — offline analysis throughput.  Schema v3.
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
-	// Pipeline transport cost, populated only when the run streamed
-	// detection through the async pipeline (Options.Pipeline != 0).
-	// PipelineChunks is trial 0's chunk count (deterministic for a given
-	// chunk size).  PipelineMaxDepth is the high-water chunk-queue depth
-	// and PipelineStallNS the total producer backpressure time across
-	// all trials — wall-clock observations, so like Time they are
-	// excluded from Signature and Diff.  Schema v4.
-	PipelineChunks   uint64 `json:"pipeline_chunks,omitempty"`
-	PipelineMaxDepth int    `json:"pipeline_max_depth,omitempty"`
-	PipelineStallNS  int64  `json:"pipeline_stall_ns,omitempty"`
 }
 
 // hookEvents counts the hook events a detector consumed: worker heap
 // accesses, executed check items, and synchronization operations — the
-// stream the pipeline batches and the trace format persists.
+// stream the trace format persists.
 func hookEvents(c interp.Counters) uint64 {
 	return c.Accesses() + c.CheckItems + c.SyncOps
 }
@@ -179,8 +169,8 @@ type ProgramResult struct {
 	StaticTime      time.Duration `json:"static_time_ns"`
 	ChecksInserted  int           `json:"checks_inserted"` // static BigFoot check statements
 
-	// Field/array check split for Figure 8, counted by a hook composed
-	// onto the FT and BF detector runs.
+	// Field/array check split for Figure 8, counted by the FT and BF
+	// detectors.
 	BFFieldChecks uint64 `json:"bf_field_checks"`
 	BFArrayChecks uint64 `json:"bf_array_checks"`
 	FTFieldChecks uint64 `json:"ft_field_checks"`
@@ -218,12 +208,6 @@ type Options struct {
 	// uninstrumented run), for offline re-analysis via ReplayDir.  The
 	// directory must exist.
 	TraceDir string
-	// Pipeline, when non-zero, runs every execution's detection
-	// asynchronously: hook events are chunked (this many events per
-	// chunk; negative = default size) to a consumer goroutine behind a
-	// bounded channel.  All deterministic counters — and Signature — are
-	// identical to the synchronous default (0).
-	Pipeline int
 }
 
 // DefaultOptions returns the standard evaluation configuration.
@@ -266,6 +250,9 @@ func (r *Runner) engine() *engine.Engine {
 type runOutcome struct {
 	out *engine.Outcome
 	err error
+	// skipped marks a job that never started because the context was
+	// already done; err is then the bare context error.
+	skipped bool
 }
 
 // programState is one workload moving through the pipeline: the
@@ -330,24 +317,20 @@ func (r *Runner) prepare(w workloads.Workload) (*programState, error) {
 func (r *Runner) runJob(ctx context.Context, st *programState, v, trial int) {
 	slot := &st.outcomes[v][trial]
 	if err := ctx.Err(); err != nil {
-		slot.err = err
+		slot.err, slot.skipped = err, true
 		return
 	}
-	spec := engine.RunSpec{
-		Seed:          r.Opts.Seed,
-		MaxSteps:      r.Opts.MaxSteps,
-		PipelineChunk: r.Opts.Pipeline,
-	}
-	variantName := engine.BaseVariant
+	variant := st.art.Base
 	if v > 0 {
-		variantName = st.art.Variants[v-1].Name
+		variant = st.art.Variants[v-1]
 	}
+	spec := engine.RunSpec{Seed: r.Opts.Seed, MaxSteps: r.Opts.MaxSteps}
 	var rec *os.File
 	if r.Opts.TraceDir != "" && trial == 0 {
-		path := filepath.Join(r.Opts.TraceDir, fmt.Sprintf("%s.%s.bftrace", st.w.Name, variantName))
+		path := filepath.Join(r.Opts.TraceDir, fmt.Sprintf("%s.%s%s", st.w.Name, variant.Name, TraceExt))
 		f, err := os.Create(path)
 		if err != nil {
-			slot.err = fmt.Errorf("%s/%s: trace record: %w", st.w.Name, variantName, err)
+			slot.err = fmt.Errorf("%s/%s: trace record: %w", st.w.Name, variant.Name, err)
 			return
 		}
 		rec = f
@@ -360,21 +343,13 @@ func (r *Runner) runJob(ctx context.Context, st *programState, v, trial int) {
 		}
 	}
 	var err error
-	if v == 0 {
-		slot.out, err = r.engine().RunBase(ctx, st.art.Base, spec)
-		if err != nil {
-			slot.err = fmt.Errorf("%s: base run: %w", st.w.Name, err)
-		}
-	} else {
-		spec.CountChecks = true
-		slot.out, err = r.engine().Run(ctx, st.art.Variants[v-1], spec)
-		if err != nil {
-			slot.err = fmt.Errorf("%s/%s: %w", st.w.Name, variantName, err)
-		}
+	slot.out, err = r.engine().Run(ctx, variant, spec)
+	if err != nil {
+		slot.err = fmt.Errorf("%s/%s: %w", st.w.Name, variant.Name, err)
 	}
 	if rec != nil {
 		if cerr := rec.Close(); cerr != nil && slot.err == nil {
-			slot.err = fmt.Errorf("%s/%s: trace record: %w", st.w.Name, variantName, cerr)
+			slot.err = fmt.Errorf("%s/%s: trace record: %w", st.w.Name, variant.Name, cerr)
 		}
 	}
 }
@@ -383,16 +358,7 @@ func (r *Runner) runJob(ctx context.Context, st *programState, v, trial int) {
 // inputs are deterministic except wall-clock durations, so the result
 // is identical regardless of worker count or completion order.
 func (st *programState) finalize() {
-	var errs []error
-	for _, trials := range st.outcomes {
-		for i := range trials {
-			if trials[i].err != nil {
-				errs = append(errs, trials[i].err)
-			}
-		}
-	}
-	if len(errs) > 0 {
-		st.err = errors.Join(errs...)
+	if st.err = st.jobErr(); st.err != nil {
 		return
 	}
 	res := st.res
@@ -409,44 +375,63 @@ func (st *programState) finalize() {
 
 	for i, v := range st.art.Variants {
 		trials := st.outcomes[1+i]
-		first := trials[0].out
 		dt := minDur(trials)
-		dc := first.Counters
-		dr := &DetectorResult{
-			Name:         v.Name,
-			Time:         dt,
-			Overhead:     modelOverhead(dc.CheckItems, first.ShadowOps, first.FootprintOps, dc.SyncOps, res.BaseSteps),
-			WallOverhead: overhead(dt, res.BaseTime),
-			CheckRatio:   ratio(dc.CheckItems, res.Accesses),
-			Checks:       dc.CheckItems,
-			ShadowOps:    first.ShadowOps,
-			FootprintOps: first.FootprintOps,
-			SyncOps:      dc.SyncOps,
-			PeakWords:    first.PeakWords,
-			SpaceOverX:   ratio(first.PeakWords, res.BaseWords),
-			Races:        len(first.Races),
-			ArrayModes:   first.ArrayModes,
-			RaceReports:  raceReports(first.Races),
-			EventsPerSec: eventsPerSec(hookEvents(dc), dt),
-		}
-		if first.Pipeline != nil {
-			dr.PipelineChunks = first.Pipeline.Chunks
-			for _, tr := range trials {
-				if st := tr.out.Pipeline; st != nil {
-					if st.MaxQueueDepth > dr.PipelineMaxDepth {
-						dr.PipelineMaxDepth = st.MaxQueueDepth
-					}
-					dr.PipelineStallNS += st.StallNanos
-				}
+		res.addDetector(v.Name, trials[0].out, dt, hookEvents(trials[0].out.Counters))
+	}
+}
+
+// jobErr joins the program's job errors.  A context that ends mid-run
+// fails the job it cut short and skips every later one; the skipped
+// jobs' bare context errors repeat that failure, so they are reported
+// only when no job error already carries the context error.
+func (st *programState) jobErr() error {
+	var errs []error
+	var skipped error
+	for _, trials := range st.outcomes {
+		for _, o := range trials {
+			switch {
+			case o.skipped:
+				skipped = o.err
+			case o.err != nil:
+				errs = append(errs, o.err)
 			}
 		}
-		res.Detectors[v.Name] = dr
-		switch v.Name {
-		case "FT":
-			res.FTFieldChecks, res.FTArrayChecks = first.FieldChecks, first.ArrayChecks
-		case "BF":
-			res.BFFieldChecks, res.BFArrayChecks = first.FieldChecks, first.ArrayChecks
-		}
+	}
+	if skipped != nil && !errors.Is(errors.Join(errs...), skipped) {
+		errs = append(errs, fmt.Errorf("%s: %w", st.w.Name, skipped))
+	}
+	return errors.Join(errs...)
+}
+
+// addDetector derives one detector's report entry from its trial-0
+// outcome against the base measurements already in res, and records
+// the FT/BF field/array check split (Figure 8).  dt is the
+// configuration's reported time and events the hook events it consumed.
+// Live runs (finalize) and replays (assembleReplay) share it.
+func (res *ProgramResult) addDetector(name string, out *engine.Outcome, dt time.Duration, events uint64) {
+	dc := out.Counters
+	res.Detectors[name] = &DetectorResult{
+		Name:         name,
+		Time:         dt,
+		Overhead:     modelOverhead(dc.CheckItems, out.ShadowOps, out.FootprintOps, dc.SyncOps, res.BaseSteps),
+		WallOverhead: overhead(dt, res.BaseTime),
+		CheckRatio:   ratio(dc.CheckItems, res.Accesses),
+		Checks:       dc.CheckItems,
+		ShadowOps:    out.ShadowOps,
+		FootprintOps: out.FootprintOps,
+		SyncOps:      dc.SyncOps,
+		PeakWords:    out.PeakWords,
+		SpaceOverX:   ratio(out.PeakWords, res.BaseWords),
+		Races:        len(out.Races),
+		ArrayModes:   out.ArrayModes,
+		RaceReports:  raceReports(out.Races),
+		EventsPerSec: eventsPerSec(events, dt),
+	}
+	switch name {
+	case "FT":
+		res.FTFieldChecks, res.FTArrayChecks = out.FieldChecks, out.ArrayChecks
+	case "BF":
+		res.BFFieldChecks, res.BFArrayChecks = out.FieldChecks, out.ArrayChecks
 	}
 }
 

@@ -26,14 +26,18 @@ import (
 //	3: adds DetectorResult.EventsPerSec (macro detection throughput).
 //	   Additive and wall-clock derived (not diffed), so v1/v2 reports
 //	   remain readable and comparable.
-//	4: adds DetectorResult.PipelineChunks/PipelineMaxDepth/
-//	   PipelineStallNS (streaming transport cost of piped runs).
-//	   Additive; zero/omitted for synchronous runs and older reports.
-const ReportVersion = 4
+//	4: adds pipeline_chunks, pipeline_max_depth and pipeline_stall_ns
+//	   (streaming transport cost of piped runs).  Additive;
+//	   zero/omitted for synchronous runs and older reports.
+//	5: drops the three v4 pipeline fields with the streaming pipeline
+//	   itself.  ReadJSON still accepts v4 reports that carry them (see
+//	   DetectorResult.UnmarshalJSON) and discards their values.
+const ReportVersion = 5
 
 // minReadVersion is the oldest schema ReadJSON still accepts.  Every
 // version in [minReadVersion, ReportVersion] is a subset of the current
-// field set, so decoding with DisallowUnknownFields remains sound.
+// field set plus v4's pipeline fields, so decoding with
+// DisallowUnknownFields remains sound.
 const minReadVersion = 1
 
 // RunInfo records the configuration a report was produced under, so two
@@ -119,6 +123,23 @@ func (rep *Report) WriteJSONFile(path string) error {
 		return werr
 	}
 	return cerr
+}
+
+// UnmarshalJSON decodes one detector result strictly (unknown fields
+// are errors, as in ReadJSON), accepting and discarding the pipeline
+// fields schema v4 wrote so v4 reports stay readable.
+func (d *DetectorResult) UnmarshalJSON(b []byte) error {
+	type plain DetectorResult // drop methods to avoid recursion
+	var v struct {
+		*plain
+		V4Chunks   json.RawMessage `json:"pipeline_chunks"`
+		V4MaxDepth json.RawMessage `json:"pipeline_max_depth"`
+		V4StallNS  json.RawMessage `json:"pipeline_stall_ns"`
+	}
+	v.plain = (*plain)(d)
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode(&v)
 }
 
 // ReadJSON parses a report and validates its schema version and basic

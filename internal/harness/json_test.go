@@ -152,6 +152,54 @@ func TestReadJSONAcceptsV1Reports(t *testing.T) {
 	}
 }
 
+// TestReadJSONAcceptsV4PipelineFields: schema v5 dropped the v4
+// pipeline fields; a v4 report that carries them still reads, renders,
+// and self-diffs like its source, while unknown detector fields stay
+// errors.
+func TestReadJSONAcceptsV4PipelineFields(t *testing.T) {
+	rep := reportAt(t, 1)
+	buf, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4 := strings.Replace(string(buf), fmt.Sprintf(`"version":%d`, ReportVersion), `"version":4`, 1)
+	for _, name := range DetectorNames {
+		v4 = strings.ReplaceAll(v4, fmt.Sprintf(`{"name":%q,`, name),
+			fmt.Sprintf(`{"name":%q,"pipeline_chunks":3,"pipeline_max_depth":2,"pipeline_stall_ns":1500,`, name))
+	}
+	if !strings.Contains(v4, `"pipeline_chunks"`) {
+		t.Fatal("test setup: no pipeline fields injected")
+	}
+	got, err := ReadJSON(strings.NewReader(v4))
+	if err != nil {
+		t.Fatalf("v4 report rejected: %v", err)
+	}
+	if got.Version != 4 {
+		t.Fatalf("version = %d, want 4", got.Version)
+	}
+	if want := renderAll(rep); renderAll(got) != want {
+		t.Error("v4 report renders differently from its source")
+	}
+	if got.Signature() != rep.Signature() {
+		t.Error("v4 report signature differs from its source")
+	}
+	if regs := Diff(rep, got, 0); len(regs) != 0 {
+		t.Errorf("v4/v5 self-diff: %v", regs)
+	}
+	var out bytes.Buffer
+	if err := got.WriteJSON(&out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "pipeline_") {
+		t.Error("re-serialized report still carries pipeline fields")
+	}
+
+	bogus := strings.Replace(string(buf), `{"name":"FT",`, `{"name":"FT","bogus":1,`, 1)
+	if _, err := ReadJSON(strings.NewReader(bogus)); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("unknown detector field: err = %v, want mention of bogus", err)
+	}
+}
+
 // TestDiffFlagsRegressions: Diff reports exactly the cells that got
 // worse, with missing programs/detectors and option mismatches called
 // out explicitly.

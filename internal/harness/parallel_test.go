@@ -2,9 +2,12 @@ package harness
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"bigfoot/internal/workloads"
 )
@@ -101,5 +104,64 @@ func TestContextCancellation(t *testing.T) {
 	rs, err := r.runWorkloads(ctx, []workloads.Workload{w})
 	if err == nil || len(rs) != 0 {
 		t.Errorf("cancelled run returned %d results, err=%v", len(rs), err)
+	}
+}
+
+// spinner runs far longer than any test deadline.
+const spinner = `class C { field v; }
+setup { c = new C; }
+thread {
+  for (i = 0; i < 100000000; i = i + 1) { c.v = i; }
+}
+`
+
+// TestBudgetErrorReportedOnce: a deadline that expires mid-run fails
+// the job it cuts short and skips every later job.  The program's error
+// names the deadline once — not once per skipped job — and still
+// classifies as context.DeadlineExceeded.
+func TestBudgetErrorReportedOnce(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	r := &Runner{Opts: Options{Seed: 7, Trials: 2, Parallel: 1}}
+	_, err := r.RunProgramContext(ctx, workloads.Workload{Name: "spin", Suite: "test", Source: spinner})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if n := strings.Count(err.Error(), context.DeadlineExceeded.Error()); n != 1 {
+		t.Errorf("deadline reported %d times, want once:\n%v", n, err)
+	}
+}
+
+// TestJobErr pins how job errors combine: skipped jobs' bare context
+// errors collapse into the failure of the job the context cut short,
+// or into one program-level error when no job was cut short.
+func TestJobErr(t *testing.T) {
+	dl := context.DeadlineExceeded
+	cut := fmt.Errorf("p/FT: %w", dl)
+	fault := errors.New("p/BF: assertion failed")
+	skip := runOutcome{err: dl, skipped: true}
+	cases := []struct {
+		name string
+		jobs []runOutcome
+		want string
+	}{
+		{"clean", []runOutcome{{}, {}}, ""},
+		{"cut then skipped", []runOutcome{{}, {err: cut}, skip, skip}, "p/FT: context deadline exceeded"},
+		{"all skipped", []runOutcome{skip, skip}, "p: context deadline exceeded"},
+		{"fault then skipped", []runOutcome{{err: fault}, skip}, "p/BF: assertion failed\np: context deadline exceeded"},
+	}
+	for _, c := range cases {
+		st := &programState{w: workloads.Workload{Name: "p"}, outcomes: [][]runOutcome{c.jobs}}
+		err := st.jobErr()
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("%s: err = %q, want %q", c.name, got, c.want)
+		}
+		if strings.Contains(c.want, "deadline") && !errors.Is(err, dl) {
+			t.Errorf("%s: err does not wrap DeadlineExceeded", c.name)
+		}
 	}
 }

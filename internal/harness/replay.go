@@ -82,14 +82,14 @@ func ReplayDir(dir string, opts Options) (*Report, error) {
 	return NewReport(opts, rs), nil
 }
 
-// replayFile replays a single trace with full accounting enabled.
+// replayFile replays a single trace.
 func replayFile(path string) (*engine.Replayed, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	res, err := engine.Replay(f, engine.ReplaySpec{CountChecks: true})
+	res, err := engine.Replay(f, engine.ReplaySpec{})
 	if err != nil {
 		return nil, err
 	}
@@ -147,34 +147,8 @@ func assembleReplay(prog string, g *replayGroup) (*ProgramResult, error) {
 		if rp == nil {
 			continue
 		}
-		out := rp.Outcome
-		dc := out.Counters
-		dt := out.Duration
-		res.Phases.Run += dt
-		dr := &DetectorResult{
-			Name:         name,
-			Time:         dt,
-			Overhead:     modelOverhead(dc.CheckItems, out.ShadowOps, out.FootprintOps, dc.SyncOps, res.BaseSteps),
-			WallOverhead: overhead(dt, res.BaseTime),
-			CheckRatio:   ratio(dc.CheckItems, res.Accesses),
-			Checks:       dc.CheckItems,
-			ShadowOps:    out.ShadowOps,
-			FootprintOps: out.FootprintOps,
-			SyncOps:      dc.SyncOps,
-			PeakWords:    out.PeakWords,
-			SpaceOverX:   ratio(out.PeakWords, res.BaseWords),
-			Races:        len(out.Races),
-			ArrayModes:   out.ArrayModes,
-			RaceReports:  raceReports(out.Races),
-			EventsPerSec: eventsPerSec(rp.Events, dt),
-		}
-		res.Detectors[name] = dr
-		switch name {
-		case "FT":
-			res.FTFieldChecks, res.FTArrayChecks = out.FieldChecks, out.ArrayChecks
-		case "BF":
-			res.BFFieldChecks, res.BFArrayChecks = out.FieldChecks, out.ArrayChecks
-		}
+		res.Phases.Run += rp.Outcome.Duration
+		res.addDetector(name, rp.Outcome, rp.Outcome.Duration, rp.Events)
 	}
 	return res, nil
 }

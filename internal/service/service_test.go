@@ -188,6 +188,27 @@ func TestErrorCodes(t *testing.T) {
 	}
 }
 
+// TestBudgetBodyReportsDeadlineOnce: a session whose wall budget
+// expires mid-run answers 408 budget, and the body names the deadline
+// once rather than once per configuration the expiry skipped.
+func TestBudgetBodyReportsDeadlineOnce(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, data := postRun(t, ts.URL, RunRequest{Program: spinner, Trials: 2, TimeoutMS: 30})
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("status %d, want 408: %s", resp.StatusCode, data)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(data, &er); err != nil {
+		t.Fatal(err)
+	}
+	if er.Code != "budget" {
+		t.Errorf("code %q, want budget", er.Code)
+	}
+	if n := strings.Count(er.Error, context.DeadlineExceeded.Error()); n != 1 {
+		t.Errorf("deadline reported %d times, want once: %q", n, er.Error)
+	}
+}
+
 // TestStatsEndpoint: cache counters are surfaced and move with traffic.
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

@@ -15,6 +15,7 @@ import (
 	"bigfoot/internal/analysis"
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/detector"
+	"bigfoot/internal/engine"
 	"bigfoot/internal/harness"
 	"bigfoot/internal/interp"
 	"bigfoot/internal/proxy"
@@ -60,7 +61,7 @@ func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = harness.Figure2(rs)
 	}
-	for _, det := range harness.DetectorNames {
+	for _, det := range engine.VariantNames {
 		b.ReportMetric(geoOverhead(rs, det), det+"-overhead-x")
 	}
 }

@@ -100,13 +100,6 @@ var modeNames = map[Mode]string{
 	SlimCard: "SlimCard", BigFoot: "BigFoot",
 }
 
-// modeVariants maps facade modes onto the engine's canonical variant
-// names (the paper's Figure 2 abbreviations).
-var modeVariants = map[Mode]string{
-	FastTrack: "FT", RedCard: "RC", SlimState: "SS",
-	SlimCard: "SC", BigFoot: "BF",
-}
-
 // String names the mode.
 func (m Mode) String() string { return modeNames[m] }
 
@@ -159,7 +152,7 @@ type Instrumented struct {
 // Instrument places race checks according to the mode's placement
 // strategy.
 func (p *Program) Instrument(m Mode) *Instrumented {
-	pl := engine.InstrumentFor(p.ast, modeVariants[m])
+	pl := engine.InstrumentFor(p.ast, engine.VariantNames[m])
 	return &Instrumented{
 		Mode:      m,
 		placement: pl,
@@ -328,7 +321,7 @@ func reportOf(out *engine.Outcome) *Report {
 // report plus the variant name from the trace header ("FT".."BF", or
 // "base" for an uninstrumented recording, which yields counters only).
 func ReplayTrace(r io.Reader) (*Report, string, error) {
-	res, err := engine.Replay(r, engine.ReplaySpec{})
+	res, err := engine.Replay(r)
 	if err != nil {
 		return nil, "", err
 	}

@@ -17,6 +17,7 @@ import (
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/detector"
 	"bigfoot/internal/difftest"
+	"bigfoot/internal/engine"
 	"bigfoot/internal/interp"
 )
 
@@ -126,7 +127,7 @@ func runFuzz(baseSeed int64, nProgs, nSched int, out string, quiet bool, sh shar
 			suffix = fmt.Sprintf(" (shard %d/%d: %d checked)", sh.i, sh.n, checked)
 		}
 		fmt.Fprintf(os.Stderr, "fuzz: campaign clean: %d programs x %d schedules x %d detectors%s\n",
-			nProgs, nSched, len(difftest.DetectorNames), suffix)
+			nProgs, nSched, len(engine.VariantNames), suffix)
 	}
 	return 0
 }

@@ -63,20 +63,20 @@ func TestGrammarCoverage(t *testing.T) {
 	}
 	text := all.String()
 	for _, marker := range []string{
-		"fork ",         // fork/join production
-		".addTo(",       // grouped Vec fields
-		".bump(",        // unlocked method call
-		".lockedBump(",  // locked method call
-		".total(",       // forked array-reading method
-		"acquire lb",    // second lock / nested region
-		".flag",         // volatile publication
-		"= vs[",         // aliasing through the reference array
-		"o3.",           // static alias accesses
-		"+ 2)",          // non-unit stride
-		"if (",          // branches
-		".peek(",        // read-shared churn (promotion + demotion)
-		"    acquire ",  // lock-protected ownership loop (indented body)
-		"= sb",          // same-thread access burst
+		"fork ",        // fork/join production
+		".addTo(",      // grouped Vec fields
+		".bump(",       // unlocked method call
+		".lockedBump(", // locked method call
+		".total(",      // forked array-reading method
+		"acquire lb",   // second lock / nested region
+		".flag",        // volatile publication
+		"= vs[",        // aliasing through the reference array
+		"o3.",          // static alias accesses
+		"+ 2)",         // non-unit stride
+		"if (",         // branches
+		".peek(",       // read-shared churn (promotion + demotion)
+		"    acquire ", // lock-protected ownership loop (indented body)
+		"= sb",         // same-thread access burst
 	} {
 		if !strings.Contains(text, marker) {
 			t.Errorf("no generated program used production %q", marker)

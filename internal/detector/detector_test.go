@@ -46,7 +46,7 @@ func buildVariants(t *testing.T, src string) []variant {
 func runWithOracle(t *testing.T, v variant, seed int64) (*Detector, *Oracle) {
 	t.Helper()
 	o := NewOracle()
-	_, err := interp.Run(v.prog, MultiHook{v.det, o}, interp.Options{Seed: seed})
+	_, err := interp.Run(v.prog, interp.Tee(v.det, o), interp.Options{Seed: seed})
 	if err != nil {
 		t.Fatalf("%s seed %d: %v", v.name, seed, err)
 	}
@@ -398,7 +398,7 @@ thread { for (i = 0; i < 5000; i = i + 1) { a[i % 8] = i; } }
 	prox := proxy.Analyze(big)
 	d := New(Config{Name: "BF", Footprints: true, Proxies: prox, PeriodicCommit: 64})
 	o := NewOracle()
-	if _, err := interp.Run(big, MultiHook{d, o}, interp.Options{Seed: 1}); err != nil {
+	if _, err := interp.Run(big, interp.Tee(d, o), interp.Options{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if o.HasRaces() && d.RaceCount() == 0 {
@@ -441,7 +441,7 @@ thread { for (i = 256; i < 768; i = i + 1) { a[i] = i; } }
 	runOnce := func(pc int, seed int64) (*Detector, *Oracle) {
 		d := New(Config{Name: "BF", Footprints: true, Proxies: prox, PeriodicCommit: pc})
 		o := NewOracle()
-		if _, err := interp.Run(big, MultiHook{d, o}, interp.Options{Seed: seed}); err != nil {
+		if _, err := interp.Run(big, interp.Tee(d, o), interp.Options{Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		return d, o

@@ -54,7 +54,7 @@ func TestFuzzTracePrecision(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
 				d := New(cfgs[vi])
 				o := NewOracle()
-				if _, err := interp.Run(v.prog, MultiHook{d, o}, interp.Options{Seed: seed}); err != nil {
+				if _, err := interp.Run(v.prog, interp.Tee(d, o), interp.Options{Seed: seed}); err != nil {
 					t.Fatalf("prog %d %s seed %d: %v\n%s", p, v.name, seed, err, src)
 				}
 				oHas, dHas := o.HasRaces(), d.RaceCount() > 0

@@ -18,7 +18,7 @@ import (
 //
 // The oracle keeps its shadow state in private maps (never in
 // Object.Shadow), so it can observe the same execution as a detector
-// under test via a MultiHook.
+// under test via interp.Tee.
 type Oracle struct {
 	interp.NopHook
 	clk clocks
@@ -160,107 +160,4 @@ func (o *Oracle) FieldRacy(objID int, class, field string) bool {
 // element.
 func (o *Oracle) IndexRacy(arrayID, idx int) bool {
 	return o.racyElems[fmt.Sprintf("array#%d[%d]", arrayID, idx)]
-}
-
-// MultiHook fans one execution's events out to several hooks in order,
-// letting a detector under test and the oracle observe the identical
-// schedule.
-type MultiHook []interp.Hook
-
-// Fork implements interp.Hook.
-func (m MultiHook) Fork(p, c int) {
-	for _, h := range m {
-		h.Fork(p, c)
-	}
-}
-
-// ThreadEnd implements interp.Hook.
-func (m MultiHook) ThreadEnd(t int) {
-	for _, h := range m {
-		h.ThreadEnd(t)
-	}
-}
-
-// Join implements interp.Hook.
-func (m MultiHook) Join(p, c int) {
-	for _, h := range m {
-		h.Join(p, c)
-	}
-}
-
-// Acquire implements interp.Hook.
-func (m MultiHook) Acquire(t int, l *interp.Object) {
-	for _, h := range m {
-		h.Acquire(t, l)
-	}
-}
-
-// Release implements interp.Hook.
-func (m MultiHook) Release(t int, l *interp.Object) {
-	for _, h := range m {
-		h.Release(t, l)
-	}
-}
-
-// VolRead implements interp.Hook.
-func (m MultiHook) VolRead(t int, o *interp.Object, f string) {
-	for _, h := range m {
-		h.VolRead(t, o, f)
-	}
-}
-
-// VolWrite implements interp.Hook.
-func (m MultiHook) VolWrite(t int, o *interp.Object, f string) {
-	for _, h := range m {
-		h.VolWrite(t, o, f)
-	}
-}
-
-// ReadField implements interp.Hook.
-func (m MultiHook) ReadField(t int, o *interp.Object, f string, pos bfj.Pos) {
-	for _, h := range m {
-		h.ReadField(t, o, f, pos)
-	}
-}
-
-// WriteField implements interp.Hook.
-func (m MultiHook) WriteField(t int, o *interp.Object, f string, pos bfj.Pos) {
-	for _, h := range m {
-		h.WriteField(t, o, f, pos)
-	}
-}
-
-// ReadIndex implements interp.Hook.
-func (m MultiHook) ReadIndex(t int, a *interp.Array, i int, pos bfj.Pos) {
-	for _, h := range m {
-		h.ReadIndex(t, a, i, pos)
-	}
-}
-
-// WriteIndex implements interp.Hook.
-func (m MultiHook) WriteIndex(t int, a *interp.Array, i int, pos bfj.Pos) {
-	for _, h := range m {
-		h.WriteIndex(t, a, i, pos)
-	}
-}
-
-// CheckField implements interp.Hook.
-func (m MultiHook) CheckField(t int, w bool, o *interp.Object, fc *interp.FieldCheck) {
-	for _, h := range m {
-		h.CheckField(t, w, o, fc)
-	}
-}
-
-// CheckRange implements interp.Hook.
-func (m MultiHook) CheckRange(t int, w bool, a *interp.Array, lo, hi, step int, poss []bfj.Pos) {
-	for _, h := range m {
-		h.CheckRange(t, w, a, lo, hi, step, poss)
-	}
-}
-
-// Finish implements interp.Hook.
-func (m MultiHook) Finish() {
-	for _, h := range m {
-		h.Finish()
-	}
 }

@@ -22,42 +22,17 @@ package difftest
 import (
 	"fmt"
 
-	"bigfoot/internal/analysis"
 	"bigfoot/internal/bfgen"
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/detector"
-	"bigfoot/internal/instrument"
+	"bigfoot/internal/engine"
 	"bigfoot/internal/interp"
-	"bigfoot/internal/proxy"
 )
 
-// DetectorNames lists the compared detectors in Figure 2 order.
-var DetectorNames = []string{"FT", "RC", "SS", "SC", "BF"}
-
-// Variant pairs one instrumented program with its detector
-// configuration.
-type Variant struct {
-	Name string
-	Prog *bfj.Program
-	Cfg  detector.Config
-}
-
-// Variants instruments base for all five detectors.  The base program
-// is not mutated (each instrumentation pass clones it).
-func Variants(base *bfj.Program) []Variant {
-	every, _ := instrument.EveryAccess(base)
-	red, _ := instrument.RedCard(base)
-	big := analysis.New(base, analysis.DefaultOptions()).Instrument()
-	redProx := proxy.Analyze(red)
-	bigProx := proxy.Analyze(big)
-	return []Variant{
-		{"FT", every, detector.Config{Name: "FT"}},
-		{"RC", red, detector.Config{Name: "RC", Proxies: redProx}},
-		{"SS", every, detector.Config{Name: "SS", Footprints: true}},
-		{"SC", red, detector.Config{Name: "SC", Footprints: true, Proxies: redProx}},
-		{"BF", big, detector.Config{Name: "BF", Footprints: true, Proxies: bigProx}},
-	}
-}
+// builder compiles the variants under test: the engine's own
+// artifacts, so the sweep checks exactly what the CLIs, the facade and
+// the service run.
+var builder = engine.New(engine.Options{})
 
 // Disagreement describes one differential-testing failure: which
 // detector, on which schedule, violated which property.
@@ -125,20 +100,16 @@ func CheckSource(src string, opts Options) (*Disagreement, error) {
 
 // CheckProgram differentially tests an already-parsed program.
 func CheckProgram(base *bfj.Program, opts Options) (*Disagreement, error) {
-	vs := Variants(base)
-	compiled := make([]*interp.Compiled, len(vs))
-	for i, v := range vs {
-		c, err := interp.Compile(v.Prog)
-		if err != nil {
-			return nil, fmt.Errorf("%s: compile: %w", v.Name, err)
-		}
-		compiled[i] = c
+	art, err := builder.BuildAST(base, engine.BuildSpec{})
+	if err != nil {
+		return nil, err
 	}
+	vs := art.Variants
 	for _, seed := range opts.seeds() {
 		var ftChecks, bfChecks uint64
 		var accesses, syncs []uint64
-		for i, v := range vs {
-			cfg := v.Cfg
+		for _, v := range vs {
+			cfg := *engine.DetectorConfig(v.Name, v.Proxies)
 			// Every differential run cross-checks the incremental space
 			// census against a full shadow walk (panics loudly on any
 			// mismatch), so the sweep and the regress corpus double as the
@@ -150,7 +121,7 @@ func CheckProgram(base *bfj.Program, opts Options) (*Disagreement, error) {
 			}
 			d := detector.New(cfg)
 			o := detector.NewOracle()
-			cnt, err := compiled[i].Run(detector.MultiHook{d, o}, interp.Options{Seed: seed, MaxSteps: opts.MaxSteps})
+			cnt, err := v.Compiled.Run(interp.Tee(d, o), interp.Options{Seed: seed, MaxSteps: opts.MaxSteps})
 			if err != nil {
 				return nil, fmt.Errorf("%s seed %d: run: %w", v.Name, seed, err)
 			}
@@ -164,7 +135,7 @@ func CheckProgram(base *bfj.Program, opts Options) (*Disagreement, error) {
 				alt := cfg
 				alt.DisableFastPaths = !cfg.DisableFastPaths
 				d2 := detector.New(alt)
-				if _, err := compiled[i].Run(d2, interp.Options{Seed: seed, MaxSteps: opts.MaxSteps}); err != nil {
+				if _, err := v.Compiled.Run(d2, interp.Options{Seed: seed, MaxSteps: opts.MaxSteps}); err != nil {
 					return nil, fmt.Errorf("%s seed %d: fast-path-inverted run: %w", v.Name, seed, err)
 				}
 				if dis := compareFastPaths(v.Name, seed, d, d2); dis != nil {

@@ -6,6 +6,7 @@ import (
 
 	"bigfoot/internal/bfgen"
 	"bigfoot/internal/detector"
+	"bigfoot/internal/engine"
 )
 
 // logRepro logs everything needed to reproduce a disagreement from the
@@ -62,7 +63,7 @@ func TestDeterministicSweep(t *testing.T) {
 	if !testing.Short() && pairs < 200 {
 		t.Fatalf("sweep covered %d (program, seed) pairs, want >= 200", pairs)
 	}
-	t.Logf("%d (program, seed) pairs across %d detectors, zero disagreements", pairs, len(DetectorNames))
+	t.Logf("%d (program, seed) pairs across %d detectors, zero disagreements", pairs, len(engine.VariantNames))
 }
 
 // FuzzDifferential is the native fuzzing entry: each input picks a

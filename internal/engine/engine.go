@@ -37,32 +37,78 @@ import (
 	"bigfoot/internal/trace"
 )
 
+// placement is a check-placement strategy: the static half of a
+// detector variant.
+type placement int
+
+const (
+	everyAccess placement = iota // a check at every heap access
+	redCard                      // minus checks redundant within a release-free span
+	bigFoot                      // the full static analysis: deferred, eliminated, coalesced
+)
+
+// variantTable is Figure 2 of the paper, and the only definition of a
+// detector variant in the system: each row names a variant, its check
+// placement, and whether its detector defers array checks through
+// per-thread footprints onto compressed shadow state (SlimState §4).
+// Field proxies follow from the placement: the RedCard and BigFoot
+// placements compute them, the every-access placement does not.
+var variantTable = []struct {
+	name       string
+	placement  placement
+	footprints bool
+}{
+	{"FT", everyAccess, false},
+	{"RC", redCard, false},
+	{"SS", everyAccess, true},
+	{"SC", redCard, true},
+	{"BF", bigFoot, true},
+}
+
 // VariantNames lists the five detector variants in the paper's order
 // (Figure 2).  These short names are the engine's canonical variant
 // identifiers; clients map their own naming (facade modes, service
 // request fields) onto them.
-var VariantNames = []string{"FT", "RC", "SS", "SC", "BF"}
+var VariantNames = func() []string {
+	names := make([]string, len(variantTable))
+	for i, row := range variantTable {
+		names[i] = row.name
+	}
+	return names
+}()
 
 // BaseVariant names the uninstrumented configuration: Artifact.Base,
 // its outcomes and metrics, and recorded trace headers.  It is not a
 // detector variant name; Run builds no detector for it.
 const BaseVariant = "base"
 
-// IsVariantName reports whether name is one of the five canonical
-// detector variant names.
-func IsVariantName(name string) bool {
-	for _, n := range VariantNames {
-		if n == name {
-			return true
+// lookupVariant returns the variantTable row index for name, or -1
+// when name is not a detector variant.
+func lookupVariant(name string) int {
+	for i, row := range variantTable {
+		if row.name == name {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
-// footprintsFor reports whether a variant defers array checks through
-// per-thread footprints onto compressed shadow state (SlimState §4).
-func footprintsFor(name string) bool {
-	return name == "SS" || name == "SC" || name == "BF"
+// IsVariantName reports whether name is one of the five canonical
+// detector variant names.
+func IsVariantName(name string) bool { return lookupVariant(name) >= 0 }
+
+// DetectorConfig is the one place a variant becomes a detector
+// configuration: the named variant's footprint setting plus the proxy
+// table its placement computed (nil for the every-access placement).
+// It returns nil for BaseVariant and any other name that is not a
+// detector variant.  Callers own the returned config and may set its
+// diagnostic fields.
+func DetectorConfig(name string, proxies *proxy.Table) *detector.Config {
+	i := lookupVariant(name)
+	if i < 0 {
+		return nil
+	}
+	return &detector.Config{Name: name, Footprints: variantTable[i].footprints, Proxies: proxies}
 }
 
 // Logf is the engine's injectable logging seam.  The engine never
@@ -144,23 +190,25 @@ type Placement struct {
 }
 
 // InstrumentFor places race checks on base according to the named
-// variant's placement strategy; BaseVariant places none.  The base AST
-// is not mutated.
+// variant's placement strategy; BaseVariant (or any name that is not a
+// detector variant) places none.  The base AST is not mutated.
 func InstrumentFor(base *bfj.Program, name string) *Placement {
-	p := &Placement{Name: name}
-	switch name {
-	case BaseVariant:
-		p.Prog = base
-	case "FT", "SS":
+	p := &Placement{Name: name, Prog: base}
+	i := lookupVariant(name)
+	if i < 0 {
+		return p
+	}
+	switch variantTable[i].placement {
+	case everyAccess:
 		prog, st := instrument.EveryAccess(base)
 		p.Prog = prog
 		p.Stats.ChecksPlaced = st.ChecksInserted
-	case "RC", "SC":
+	case redCard:
 		prog, st := instrument.RedCard(base)
 		p.Prog = prog
 		p.Stats.ChecksPlaced = st.ChecksInserted
 		p.Proxies = proxy.Analyze(prog)
-	case "BF":
+	case bigFoot:
 		an := analysis.New(base, analysis.DefaultOptions())
 		p.Prog = an.Instrument()
 		p.Stats = placementStatsOf(an.Stats)
@@ -173,12 +221,11 @@ func InstrumentFor(base *bfj.Program, name string) *Placement {
 // everything Run needs to assemble its detector (none for the
 // BaseVariant).  It is immutable and goroutine-safe.
 type Variant struct {
-	Name       string
-	Compiled   *interp.Compiled
-	Footprints bool
-	Proxies    *proxy.Table
-	Stats      PlacementStats
-	prog       *bfj.Program
+	Name     string
+	Compiled *interp.Compiled
+	Proxies  *proxy.Table
+	Stats    PlacementStats
+	prog     *bfj.Program
 }
 
 // Program returns the instrumented AST the variant was compiled from
@@ -197,12 +244,11 @@ func (p *Placement) Compile() (*Variant, error) {
 // variant wraps a compilation of the placement as the named variant.
 func (p *Placement) variant(name string, c *interp.Compiled) *Variant {
 	return &Variant{
-		Name:       name,
-		Compiled:   c,
-		Footprints: footprintsFor(name),
-		Proxies:    p.Proxies,
-		Stats:      p.Stats,
-		prog:       p.Prog,
+		Name:     name,
+		Compiled: c,
+		Proxies:  p.Proxies,
+		Stats:    p.Stats,
+		prog:     p.Prog,
 	}
 }
 
@@ -288,7 +334,7 @@ type Artifact struct {
 func (a *Artifact) Variant(name string) *Variant { return a.byName[name] }
 
 // BuildAST instruments and compiles base for the requested variant set.
-// Placements that share an instrumentation strategy share one
+// Variants whose variantTable rows share a placement share one
 // instrumented AST and one compilation: FT+SS both run on the
 // every-access placement, RC+SC on the RedCard placement.
 func (e *Engine) BuildAST(base *bfj.Program, spec BuildSpec) (*Artifact, error) {
@@ -300,22 +346,17 @@ func (e *Engine) BuildAST(base *bfj.Program, spec BuildSpec) (*Artifact, error) 
 
 	instStart := time.Now()
 	placements := make(map[string]*Placement, len(names))
-	var every, red *Placement
+	shared := map[placement]*Placement{}
 	for _, n := range names {
-		switch n {
-		case "FT", "SS":
-			if every == nil {
-				every = InstrumentFor(base, n)
-			}
-			placements[n] = every
-		case "RC", "SC":
-			if red == nil {
-				red = InstrumentFor(base, n)
-			}
-			placements[n] = red
-		case "BF":
-			placements[n] = InstrumentFor(base, "BF")
-			art.Stats = placements[n].Stats
+		kind := variantTable[lookupVariant(n)].placement
+		p := shared[kind]
+		if p == nil {
+			p = InstrumentFor(base, n)
+			shared[kind] = p
+		}
+		placements[n] = p
+		if kind == bigFoot {
+			art.Stats = p.Stats
 		}
 	}
 	art.Timings.Instrument = time.Since(instStart)
@@ -441,10 +482,6 @@ type RunSpec struct {
 	// DebugCensus cross-checks the incremental space census (slow;
 	// diagnostic only).
 	DebugCensus bool
-	// DisableFastPaths turns off the detector's epoch-level fast paths
-	// and adaptive read demotion (observationally neutral; diagnostic
-	// and A/B benchmarking only).
-	DisableFastPaths bool
 }
 
 // RecordMeta is the workload identity stamped into a recorded trace's
@@ -480,9 +517,7 @@ type Outcome struct {
 	ArrayChecks uint64
 
 	// FastPaths counts the detector's epoch-level fast-path hits and
-	// adaptive read-metadata transitions (all zero when the run had
-	// DisableFastPaths set, except promotions, which FastTrack always
-	// performs).
+	// adaptive read-metadata transitions.
 	FastPaths detector.FastPathStats
 }
 
@@ -507,7 +542,7 @@ func newDetection(cfg *detector.Config, rec *trace.Recorder, tw *trace.Writer) (
 		}
 		hooks = append(hooks, d)
 	}
-	return d, trace.Tee(hooks...)
+	return d, interp.Tee(hooks...)
 }
 
 // fillDetector copies the detector's findings and dynamic cost into
@@ -550,15 +585,10 @@ func (e *Engine) Run(ctx context.Context, v *Variant, spec RunSpec) (*Outcome, e
 			return &Outcome{Variant: v.Name}, fmt.Errorf("trace record: %w", err)
 		}
 	}
-	var cfg *detector.Config
-	if v.Name != BaseVariant {
-		cfg = &detector.Config{
-			Name:             cmp.Or(spec.DetectorName, v.Name),
-			Footprints:       v.Footprints,
-			Proxies:          v.Proxies,
-			DebugCensus:      spec.DebugCensus,
-			DisableFastPaths: spec.DisableFastPaths,
-		}
+	cfg := DetectorConfig(v.Name, v.Proxies)
+	if cfg != nil {
+		cfg.Name = cmp.Or(spec.DetectorName, v.Name)
+		cfg.DebugCensus = spec.DebugCensus
 	}
 	d, hook := newDetection(cfg, spec.Trace, tw)
 	if spec.Timeout > 0 {

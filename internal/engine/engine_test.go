@@ -99,6 +99,39 @@ func TestBuildSourceAllVariants(t *testing.T) {
 	}
 }
 
+// TestDetectorConfigFigure2 pins the paper's Figure 2 as DetectorConfig
+// produces it from a built artifact: footprints exactly for SS, SC and
+// BF; field proxies exactly for the RedCard and BigFoot placements (RC,
+// SC, BF); no detector at all for the base.
+func TestDetectorConfigFigure2(t *testing.T) {
+	_, art := buildAll(t, racy)
+	want := map[string]struct{ footprints, proxies bool }{
+		"FT": {false, false},
+		"RC": {false, true},
+		"SS": {true, false},
+		"SC": {true, true},
+		"BF": {true, true},
+	}
+	for _, v := range art.Variants {
+		cfg := DetectorConfig(v.Name, v.Proxies)
+		if cfg == nil {
+			t.Errorf("%s: nil config", v.Name)
+			continue
+		}
+		w := want[v.Name]
+		if cfg.Name != v.Name || cfg.Footprints != w.footprints || (cfg.Proxies != nil) != w.proxies {
+			t.Errorf("%s: config name=%q footprints=%v proxies=%v, want footprints=%v proxies=%v",
+				v.Name, cfg.Name, cfg.Footprints, cfg.Proxies != nil, w.footprints, w.proxies)
+		}
+	}
+	if len(art.Variants) != len(want) {
+		t.Errorf("artifact has %d variants, want %d", len(art.Variants), len(want))
+	}
+	if cfg := DetectorConfig(BaseVariant, art.Base.Proxies); cfg != nil {
+		t.Errorf("base config = %+v, want nil", cfg)
+	}
+}
+
 func TestVariantSubsetAndValidation(t *testing.T) {
 	e := New(Options{})
 	art, _, err := e.BuildSource(racy, BuildSpec{Variants: []string{"BF", "FT", "FT"}})

@@ -46,9 +46,6 @@ import (
 	"bigfoot/internal/workloads"
 )
 
-// DetectorNames lists the evaluated detectors in the paper's order.
-var DetectorNames = []string{"FT", "RC", "SS", "SC", "BF"}
-
 // Cost-model weights, in units of one interpreted statement.  Wall time
 // on an interpreter substrate understates checking cost relative to a
 // JVM (an interpreted statement costs ~100x a compiled heap access,

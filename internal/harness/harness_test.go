@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"bigfoot/internal/engine"
 	"bigfoot/internal/workloads"
 )
 
@@ -73,6 +74,39 @@ func TestReportsRenderAllPrograms(t *testing.T) {
 		}
 		if strings.Contains(text, "%!") {
 			t.Errorf("formatting directive leaked:\n%s", text)
+		}
+	}
+}
+
+// TestFigure2MatrixMatchesEngine: the printed Figure 2 matrix lists the
+// engine's variants in order, and its metadata-compression columns
+// agree with the configuration the engine runs: "static proxy" exactly
+// when the variant's placement computed proxies, "dynamic" array
+// compression exactly when its detector uses footprints.
+func TestFigure2MatrixMatchesEngine(t *testing.T) {
+	w, ok := workloads.ByName("crypt", workloads.Scale{N: 1, T: 2})
+	if !ok {
+		t.Fatal("workload crypt missing")
+	}
+	art, _, err := engine.New(engine.Options{}).BuildSource(w.Source, engine.BuildSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(figure2Rows) != len(engine.VariantNames) {
+		t.Fatalf("%d rows, want %d", len(figure2Rows), len(engine.VariantNames))
+	}
+	for i, row := range figure2Rows {
+		if row.name != engine.VariantNames[i] {
+			t.Errorf("row %d = %s, want %s", i, row.name, engine.VariantNames[i])
+			continue
+		}
+		v := art.Variant(row.name)
+		cfg := engine.DetectorConfig(v.Name, v.Proxies)
+		if (row.co == "static proxy") != (cfg.Proxies != nil) {
+			t.Errorf("%s: object compression %q, but proxies=%v", row.name, row.co, cfg.Proxies != nil)
+		}
+		if (row.ca == "dynamic") != cfg.Footprints {
+			t.Errorf("%s: array compression %q, but footprints=%v", row.name, row.ca, cfg.Footprints)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"bigfoot/internal/engine"
 	"bigfoot/internal/workloads"
 )
 
@@ -163,7 +164,7 @@ func TestReadJSONAcceptsV4PipelineFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	v4 := strings.Replace(string(buf), fmt.Sprintf(`"version":%d`, ReportVersion), `"version":4`, 1)
-	for _, name := range DetectorNames {
+	for _, name := range engine.VariantNames {
 		v4 = strings.ReplaceAll(v4, fmt.Sprintf(`{"name":%q,`, name),
 			fmt.Sprintf(`{"name":%q,"pipeline_chunks":3,"pipeline_max_depth":2,"pipeline_stall_ns":1500,`, name))
 	}

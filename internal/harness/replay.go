@@ -89,7 +89,7 @@ func replayFile(path string) (*engine.Replayed, error) {
 		return nil, err
 	}
 	defer f.Close()
-	res, err := engine.Replay(f, engine.ReplaySpec{})
+	res, err := engine.Replay(f)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func assembleReplay(prog string, g *replayGroup) (*ProgramResult, error) {
 		BaseWords:       g.base.Outcome.Counters.BaseWords,
 		Detectors:       map[string]*DetectorResult{},
 	}
-	for _, name := range DetectorNames {
+	for _, name := range engine.VariantNames {
 		rp := g.variants[name]
 		if rp == nil {
 			continue

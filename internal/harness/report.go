@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"bigfoot/internal/engine"
 )
 
 // This file renders the evaluation artifacts in the layout of the
@@ -22,6 +24,17 @@ func collect(rs []*ProgramResult, f func(*ProgramResult) float64) []float64 {
 	return out
 }
 
+// figure2Rows is the paper's design-feature matrix, as printed text.
+// The configuration it describes is defined in the engine's variant
+// table; TestFigure2MatrixMatchesEngine keeps the two in agreement.
+var figure2Rows = []struct{ name, mo, ma, rce, co, ca string }{
+	{"FT", "no", "no", "no", "no", "no"},
+	{"RC", "no", "no", "static", "static proxy", "no"},
+	{"SS", "no", "dynamic", "no", "no", "dynamic"},
+	{"SC", "no", "dynamic", "static", "static proxy", "dynamic"},
+	{"BF", "static", "static+dynamic", "static, better", "static proxy", "dynamic"},
+}
+
 // Figure2 renders the summary comparison of the five detectors: the
 // design-feature matrix plus the measured mean run-time overhead
 // (geometric mean of per-program overhead multipliers).
@@ -34,14 +47,7 @@ func (rep *Report) Figure2() string {
 		"Detector", "Check Motion+Coalescing", "Red. Check", "Metadata Compression", "Run-Time")
 	fmt.Fprintf(&b, "%-10s %-13s %-14s %-14s %-12s %-13s %s\n",
 		"", "objects", "arrays", "Elimination", "objects", "arrays", "Overhead")
-	rows := []struct{ name, mo, ma, rce, co, ca string }{
-		{"FT", "no", "no", "no", "no", "no"},
-		{"RC", "no", "no", "static", "static proxy", "no"},
-		{"SS", "no", "dynamic", "no", "no", "dynamic"},
-		{"SC", "no", "dynamic", "static", "static proxy", "dynamic"},
-		{"BF", "static", "static+dynamic", "static, better", "static proxy", "dynamic"},
-	}
-	for _, row := range rows {
+	for _, row := range figure2Rows {
 		ov := GeoMean(collect(rs, func(r *ProgramResult) float64 { return r.Detectors[row.name].Overhead }))
 		fmt.Fprintf(&b, "%-10s %-13s %-14s %-14s %-12s %-13s %.1fx\n",
 			row.name, row.mo, row.ma, row.rce, row.co, row.ca, ov)
@@ -246,7 +252,7 @@ func (rep *Report) Signature() string {
 			r.Suite, r.Name, r.MethodsAnalyzed, r.ChecksInserted,
 			r.BaseSteps, r.Accesses, r.BaseWords,
 			r.FTFieldChecks, r.FTArrayChecks, r.BFFieldChecks, r.BFArrayChecks)
-		for _, name := range DetectorNames {
+		for _, name := range engine.VariantNames {
 			d := r.Detectors[name]
 			if d == nil {
 				fmt.Fprintf(&b, "  %s MISSING\n", name)

@@ -107,7 +107,8 @@ func (s *span) clear() {
 	}
 }
 
-// spanKeys returns the key and variable set for an access path.
+// fieldKey and arrayKey return the span key of a read or write access
+// path.
 func fieldKey(y expr.Var, f string, write bool) string {
 	k := string(y) + "." + f
 	if write {
@@ -124,10 +125,8 @@ func arrayKey(y expr.Var, z expr.Expr, write bool) string {
 	return "r:" + k
 }
 
-// keyVars caches the variables mentioned by each span key so
-// reassignments can invalidate exactly the right facts.
-var _ = keyVarsOf
-
+// keyVarsOf returns the variables an access path's key mentions, so
+// reassigning any of them invalidates exactly the right facts.
 func keyVarsOf(y expr.Var, z expr.Expr) []expr.Var {
 	vs := map[expr.Var]bool{y: true}
 	if z != nil {

@@ -195,9 +195,9 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 		return func(t *Thread) {
 			in := t.in
 			in.step(t)
+			in.alloc(uint64(nf) + 1)
 			o := &Object{ID: in.nextObjID, Class: cls, Fields: make(map[string]Value, nf)}
 			in.nextObjID++
-			in.C.BaseWords += uint64(nf) + 1
 			t.slotSet(dst, Value{Kind: KindObject, Obj: o})
 		}
 	case *bfj.NewArray:
@@ -211,9 +211,9 @@ func (c *compiler) compileStmt(s bfj.Stmt, sc *scope) cstmt {
 			if n < 0 {
 				fail("newarray with negative size %d", n)
 			}
+			in.alloc(uint64(n) + 1)
 			a := &Array{ID: in.nextArrID, Elems: make([]Value, n)}
 			in.nextArrID++
-			in.C.BaseWords += uint64(n) + 1
 			t.slotSet(dst, Value{Kind: KindArray, Arr: a})
 		}
 	case *bfj.FieldRead:

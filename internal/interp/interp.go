@@ -14,9 +14,6 @@ import (
 type Options struct {
 	// Seed drives the deterministic preemption schedule.
 	Seed int64
-	// SliceMin/SliceMax bound the number of statements a thread runs
-	// between preemption points.  Defaults: 20..120.
-	SliceMin, SliceMax int
 	// MaxSteps aborts runaway executions. Default 500M.
 	MaxSteps uint64
 	// Out receives print statement output (nil discards it).
@@ -28,13 +25,20 @@ type Options struct {
 	CountThread0 bool
 }
 
+// sliceMin and sliceMax bound the number of statements a thread runs
+// between preemption points.
+const (
+	sliceMin = 20
+	sliceMax = 120
+)
+
+// MaxHeapWords bounds the program data one run may allocate, in value
+// words (Counters.BaseWords): about 800 MB at 48 bytes per Value.  A
+// new or newarray that would exceed it fails the run with a runtime
+// error instead of exhausting the host's memory.
+const MaxHeapWords = 1 << 24
+
 func (o Options) withDefaults() Options {
-	if o.SliceMin <= 0 {
-		o.SliceMin = 20
-	}
-	if o.SliceMax <= o.SliceMin {
-		o.SliceMax = o.SliceMin + 100
-	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 500_000_000
 	}
@@ -174,6 +178,15 @@ type abortSignal struct{}
 
 func fail(format string, args ...any) {
 	panic(runtimeErr{fmt.Sprintf(format, args...)})
+}
+
+// alloc charges words of program data to Counters.BaseWords, failing
+// the run before an allocation that would exceed MaxHeapWords.
+func (in *Interp) alloc(words uint64) {
+	if in.C.BaseWords+words > MaxHeapWords {
+		fail("heap limit exceeded: %d more words on top of %d pass MaxHeapWords (%d)", words, in.C.BaseWords, MaxHeapWords)
+	}
+	in.C.BaseWords += words
 }
 
 // Run executes the compiled program under the hook and returns the
@@ -344,7 +357,7 @@ func (in *Interp) schedule() error {
 			return fmt.Errorf("deadlock: all live threads are blocked")
 		}
 		t := runnable[in.rng.Intn(len(runnable))]
-		t.budget = in.opts.SliceMin + in.rng.Intn(in.opts.SliceMax-in.opts.SliceMin+1)
+		t.budget = sliceMin + in.rng.Intn(sliceMax-sliceMin+1)
 		t.resume <- struct{}{}
 		<-in.back
 	}

@@ -520,3 +520,29 @@ setup {
 		t.Errorf("threads = %d, want 256", c.Threads)
 	}
 }
+
+// TestHeapLimit: an allocation that would take Counters.BaseWords past
+// MaxHeapWords fails the run with a runtime error before it is made,
+// both for one oversized array and for a sum of allocations that are
+// each within the limit on their own.
+func TestHeapLimit(t *testing.T) {
+	cases := map[string]string{
+		// 1<<24 elements plus the array header is one word past the cap.
+		"single": `setup { a = newarray 16777216; }`,
+		// 2 words for c, then 16777214+1 words for a: one past the cap.
+		"cumulative": `class C { field f; } setup { c = new C; a = newarray 16777214; }`,
+	}
+	for name, src := range cases {
+		c, err := Run(bfj.MustParse(src), NopHook{}, Options{Seed: 0})
+		if err == nil || !strings.Contains(err.Error(), "heap limit exceeded") {
+			t.Errorf("%s: err = %v, want a heap-limit runtime error", name, err)
+		}
+		if c.BaseWords > MaxHeapWords {
+			t.Errorf("%s: BaseWords = %d past MaxHeapWords", name, c.BaseWords)
+		}
+	}
+	c, _ := run(t, `class C { field f; } setup { c = new C; a = newarray 16; }`, 0)
+	if c.BaseWords != 2+17 {
+		t.Errorf("BaseWords = %d, want 19", c.BaseWords)
+	}
+}

@@ -188,6 +188,26 @@ func TestErrorCodes(t *testing.T) {
 	}
 }
 
+// TestHeapLimitIsProgramError: a program that allocates past
+// interp.MaxHeapWords is the program's fault (422 "program"), not a
+// crash of the daemon, which keeps serving the next request.
+func TestHeapLimitIsProgramError(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, data := postRun(t, ts.URL, RunRequest{Program: `setup { a = newarray 4000000000; }`})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", resp.StatusCode, data)
+	}
+	if code := errorCode(t, data); code != "program" {
+		t.Errorf("code %q, want program", code)
+	}
+	if !strings.Contains(string(data), "heap limit exceeded") {
+		t.Errorf("body does not name the heap limit: %s", data)
+	}
+	if resp, data := postRun(t, ts.URL, RunRequest{Program: clean}); resp.StatusCode != http.StatusOK {
+		t.Errorf("next request: status %d, want 200: %s", resp.StatusCode, data)
+	}
+}
+
 // TestBudgetBodyReportsDeadlineOnce: a session whose wall budget
 // expires mid-run answers 408 budget, and the body names the deadline
 // once rather than once per configuration the expiry skipped.

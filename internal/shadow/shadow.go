@@ -319,8 +319,8 @@ type ArrayShadow struct {
 	// metadata transitions across all states of this shadow (a write
 	// deflating a read vector is part of the base protocol and is not
 	// counted as a demotion).
-	Promotions  uint64
-	Demotions   uint64
+	Promotions uint64
+	Demotions  uint64
 
 	// words caches the current footprint so Words is O(1); every
 	// internal transition funnels its delta through addw, which also

@@ -48,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"bigfoot/internal/bfj"
 	"bigfoot/internal/interp"
@@ -486,6 +485,9 @@ type Reader struct {
 	sites   map[uint64]*interp.FieldCheck
 	posSets [][]bfj.Pos
 	classes map[string]*bfj.Class
+	// arrWords sums the declared array lengths, bounded by
+	// interp.MaxHeapWords like the live run that recorded them.
+	arrWords uint64
 
 	lastT    int
 	total    uint64
@@ -707,10 +709,11 @@ func (rd *Reader) arr(d *decoder) *interp.Array {
 		return a
 	}
 	n := d.u()
-	if n > math.MaxInt32 {
-		d.fail("array length implausible")
+	if n > interp.MaxHeapWords-rd.arrWords {
+		d.fail("array lengths exceed the heap limit")
 		return nil
 	}
+	rd.arrWords += n
 	a := &interp.Array{ID: int(id), Elems: make([]interp.Value, n)}
 	rd.arrs[id] = a
 	return a

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -52,7 +54,7 @@ func recordRun(t *testing.T, src string, seed int64) (*bytes.Buffer, *Recorder, 
 	rec := NewRecorder(0)
 	d.SetObserver(rec)
 	// Writer first (pristine hook order), recorder before detector.
-	cnt, err := c.Run(Tee(tw, rec, d), interp.Options{Seed: seed})
+	cnt, err := c.Run(interp.Tee(tw, rec, d), interp.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestFormatRoundTrip(t *testing.T) {
 			dRep := detector.New(detector.Config{Name: "BF", Footprints: true, Proxies: proxy.FromPairs(hdr.ProxyRep)})
 			recRep := NewRecorder(0)
 			dRep.SetObserver(recRep)
-			n, err := rd.Replay(Tee(recRep, dRep))
+			n, err := rd.Replay(interp.Tee(recRep, dRep))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,5 +172,62 @@ func TestFormatRejectsGarbage(t *testing.T) {
 	}
 	if _, err := rd.Replay(interp.NopHook{}); err == nil {
 		t.Error("second Replay accepted")
+	}
+}
+
+// craftTrace encodes a minimal trace by hand: one ReadIndex event per
+// declared array length (array ids 1, 2, ...), as a Writer would for
+// arrays of those lengths, without allocating them.
+func craftTrace(lengths ...uint64) []byte {
+	var payload []byte
+	for i, n := range lengths {
+		head := opReadIndex
+		if i == 0 {
+			payload = append(payload, head)
+			payload = binary.AppendUvarint(payload, 1) // thread id
+		} else {
+			payload = append(payload, head|flagSameThread)
+		}
+		payload = binary.AppendUvarint(payload, uint64(i+1)) // array id
+		payload = binary.AppendUvarint(payload, n)           // declared length
+		payload = binary.AppendVarint(payload, 0)            // index
+		payload = binary.AppendUvarint(payload, 0)           // line
+		payload = binary.AppendUvarint(payload, 0)           // col
+	}
+	block := func(b []byte, s string) []byte {
+		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	out := append(magic[:], FormatVersion)
+	out = block(out, `{"variant":"FT","seed":0}`)
+	out = binary.AppendUvarint(out, uint64(len(lengths)))
+	out = binary.AppendUvarint(out, uint64(len(payload)))
+	out = append(out, payload...)
+	out = binary.AppendUvarint(out, 0)
+	return block(out, fmt.Sprintf(`{"events":%d}`, len(lengths)))
+}
+
+// TestReaderHeapLimit: a trace may not declare more array elements than
+// a live run may allocate (interp.MaxHeapWords), whether in one array
+// or summed over several; replay fails instead of allocating them.
+func TestReaderHeapLimit(t *testing.T) {
+	rd, err := NewReader(bytes.NewReader(craftTrace(16, 16)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rd.Replay(interp.NopHook{}); err != nil {
+		t.Fatalf("small crafted trace must replay: %v", err)
+	}
+	for name, lengths := range map[string][]uint64{
+		"single":     {interp.MaxHeapWords + 1},
+		"cumulative": {16, interp.MaxHeapWords - 15},
+	} {
+		rd, err := NewReader(bytes.NewReader(craftTrace(lengths...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = rd.Replay(interp.NopHook{})
+		if err == nil || !strings.Contains(err.Error(), "heap limit") {
+			t.Errorf("%s: replay err = %v, want a heap-limit error", name, err)
+		}
 	}
 }

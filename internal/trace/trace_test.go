@@ -51,7 +51,7 @@ func runOnce(t *testing.T, c *interp.Compiled, prox *proxy.Table, n int) ([]*Rec
 	if n > 0 {
 		d.SetObserver(recs[0])
 	}
-	if _, err := c.Run(Tee(hooks...), interp.Options{Seed: 3}); err != nil {
+	if _, err := c.Run(interp.Tee(hooks...), interp.Options{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	return recs, d
@@ -136,7 +136,7 @@ func TestRecorderDeterministic(t *testing.T) {
 			d := detector.New(detector.Config{Name: "BF", Footprints: true, Proxies: prox})
 			rec := NewRecorder(0)
 			d.SetObserver(rec)
-			if _, err := c.Run(Tee(d, rec), interp.Options{Seed: 3}); err != nil {
+			if _, err := c.Run(interp.Tee(d, rec), interp.Options{Seed: 3}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -159,11 +159,11 @@ func TestRecorderDeterministic(t *testing.T) {
 // TestTeeDegenerateForms: no hooks is a nop hook, one hook is returned
 // unwrapped, nils are skipped.
 func TestTeeDegenerateForms(t *testing.T) {
-	if _, ok := Tee().(interp.NopHook); !ok {
-		t.Errorf("Tee() = %T, want NopHook", Tee())
+	if _, ok := interp.Tee().(interp.NopHook); !ok {
+		t.Errorf("Tee() = %T, want NopHook", interp.Tee())
 	}
 	r := NewRecorder(4)
-	if got := Tee(nil, r, nil); got != interp.Hook(r) {
+	if got := interp.Tee(nil, r, nil); got != interp.Hook(r) {
 		t.Errorf("Tee(nil, r, nil) = %T, want the recorder itself", got)
 	}
 }
@@ -275,7 +275,7 @@ thread { for (i = 0; i < 64; i = i + 1) { x = a[i]; } }
 	d := detector.New(detector.Config{Name: "BF", Footprints: true, Proxies: proxy.Analyze(inst)})
 	rec := NewRecorder(0)
 	d.SetObserver(rec)
-	if _, err := c.Run(Tee(d, rec), interp.Options{Seed: 0}); err != nil {
+	if _, err := c.Run(interp.Tee(d, rec), interp.Options{Seed: 0}); err != nil {
 		t.Fatal(err)
 	}
 	ops := map[string]int{}

@@ -64,15 +64,6 @@ func Metrics() *metrics.Registry { return defaultRegistry }
 // The zero Pos means "unknown"; see Pos.IsValid.
 type Pos = bfj.Pos
 
-// Recorder is a bounded ring-buffer execution recorder; attach one via
-// RunConfig.Trace to capture the event stream of a run and export it
-// with WriteChrome.  See the internal/trace package for details.
-type Recorder = trace.Recorder
-
-// NewRecorder creates a Recorder holding at most capacity events (a
-// default capacity if capacity <= 0).
-func NewRecorder(capacity int) *Recorder { return trace.NewRecorder(capacity) }
-
 // Mode selects a detector configuration (Figure 2 of the paper).
 type Mode int
 
@@ -129,7 +120,8 @@ func MustParse(src string) *Program {
 // Text renders the program in BFJ surface syntax.
 func (p *Program) Text() string { return bfj.FormatProgram(p.ast) }
 
-// AnalysisStats reports the static analysis cost of instrumentation.
+// AnalysisStats reports the static analysis cost of instrumentation (a
+// public mirror of the internal analysis stats, in float seconds).
 type AnalysisStats struct {
 	BodiesAnalyzed int
 	ChecksPlaced   int
@@ -177,14 +169,9 @@ type RunConfig struct {
 	Out io.Writer
 	// MaxSteps bounds execution (0 = default).
 	MaxSteps uint64
-	// Trace, when non-nil, records the execution's event stream —
-	// accesses, checks, synchronization, and detector-side dynamics
-	// (footprint commits, array refinements, shadow transitions).  A nil
-	// Trace leaves the untraced fast path untouched.
-	Trace *Recorder
 	// Record, when non-nil, persists the execution's hook stream in the
-	// compressed on-disk trace format for offline replay (ReplayTrace).
-	// The caller owns the writer (open/close the file).
+	// compressed on-disk trace format for offline replay and Chrome
+	// rendering (ReplayTrace).  The caller owns the writer.
 	Record io.Writer
 	// RecordName labels the program in the recorded trace's header
 	// (default "program").
@@ -263,12 +250,10 @@ func (c *Compiled) Run(cfg RunConfig) (*Report, error) {
 // without dropping to internal packages.
 func (c *Compiled) RunContext(ctx context.Context, cfg RunConfig) (*Report, error) {
 	spec := engine.RunSpec{
-		DetectorName: c.Mode.String(),
-		Seed:         cfg.Seed,
-		MaxSteps:     cfg.MaxSteps,
-		Out:          cfg.Out,
-		Trace:        cfg.Trace,
-		DebugCensus:  cfg.DebugCensus,
+		Seed:        cfg.Seed,
+		MaxSteps:    cfg.MaxSteps,
+		Out:         cfg.Out,
+		DebugCensus: cfg.DebugCensus,
 	}
 	if cfg.Record != nil {
 		spec.Record = cfg.Record
@@ -320,10 +305,22 @@ func reportOf(out *engine.Outcome) *Report {
 // reproducing the live run's deterministic results.  It returns the
 // report plus the variant name from the trace header ("FT".."BF", or
 // "base" for an uninstrumented recording, which yields counters only).
-func ReplayTrace(r io.Reader) (*Report, string, error) {
-	res, err := engine.Replay(r)
+// A non-nil chrome receives the execution as Chrome trace_event JSON
+// (Perfetto, chrome://tracing): the last trace.DefaultCapacity hook and
+// detector events, the overwritten count in otherData.dropped.
+func ReplayTrace(r io.Reader, chrome io.Writer) (*Report, string, error) {
+	var rec *trace.Recorder
+	if chrome != nil {
+		rec = trace.NewRecorder(trace.DefaultCapacity)
+	}
+	res, err := engine.Replay(r, rec)
 	if err != nil {
 		return nil, "", err
+	}
+	if rec != nil {
+		if err := rec.WriteChrome(chrome); err != nil {
+			return nil, res.Header.Variant, err
+		}
 	}
 	if res.RunErr != nil {
 		return nil, res.Header.Variant, res.RunErr

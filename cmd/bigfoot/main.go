@@ -9,18 +9,21 @@
 //	        [-debug-census] [-cpuprofile f] [-memprofile f] [-trace f]
 //	        [-metrics-out f] file.bfj
 //	bigfoot -trace-replay f.bftrace [-stats] [-explain-races]
+//	        [-trace-out f.json] [-cpuprofile f] [-memprofile f] [-trace f]
+//	        [-metrics-out f]
 //
 // -show prints the instrumented program (with placed checks) instead of
 // running it.  -runs K explores K consecutive schedule seeds starting at
 // -seed, compiling the program once and reusing the artifact for every
-// run; races are deduplicated across seeds.  -trace-out records the
-// first seed's execution and writes it as Chrome trace_event JSON (open
-// in ui.perfetto.dev or chrome://tracing; one lane per thread).
-// -trace-rec records the first seed's execution in the persistent
-// compressed trace format; -trace-replay re-analyzes such a recording
-// through the recorded detector without re-running the program (no
-// .bfj argument needed), printing the same race report the live run
-// printed.  -explain-races prints a per-race provenance block with both
+// run; races are deduplicated across seeds.  -trace-rec records the
+// first seed's execution in the persistent compressed trace format;
+// -trace-replay re-analyzes such a recording (also bfbench -trace-rec
+// and bigfootd -trace-dir output) through the recorded detector,
+// printing the live run's race report; flags that choose what runs are
+// usage errors there.  -trace-out writes the first seed's execution, or
+// the replayed one, as Chrome trace_event JSON (ui.perfetto.dev or
+// chrome://tracing; one lane per thread), rendered by replaying the
+// recording.  -explain-races prints a per-race provenance block with both
 // access sites.  -debug-census validates the detector's exact
 // incremental space census against a full shadow walk at every
 // synchronization operation (diagnostic only — the walk is the cost the
@@ -69,7 +72,7 @@ func run() int {
 		runs     = flag.Int("runs", 1, "number of consecutive seeds to run (compiled once)")
 		show     = flag.Bool("show", false, "print the instrumented program and exit")
 		stats    = flag.Bool("stats", false, "print check/shadow statistics")
-		traceOut = flag.String("trace-out", "", "record the first seed's execution as Chrome trace_event JSON to this file")
+		traceOut = flag.String("trace-out", "", "write the first seed's execution (or the -trace-replay recording) as Chrome trace_event JSON to this file")
 		traceRec = flag.String("trace-rec", "", "record the first seed's execution as a compressed .bftrace to this file")
 		traceRep = flag.String("trace-replay", "", "replay a recorded .bftrace through its detector instead of running a program")
 		explain  = flag.Bool("explain-races", false, "print per-race provenance (both access sites)")
@@ -78,36 +81,32 @@ func run() int {
 	var prof profiling.Config
 	prof.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if *traceRep != "" {
+	mode, ok := modes[strings.ToLower(*modeName)]
+	switch {
+	case *traceRep != "":
+		bad := "" // a flag choosing what the recording already fixed
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "mode", "seed", "runs", "show", "trace-rec", "debug-census":
+				if bad == "" {
+					bad = f.Name
+				}
+			}
+		})
+		if bad != "" {
+			fmt.Fprintf(os.Stderr, "bigfoot: -%s does not apply to -trace-replay\n", bad)
+			return 2
+		}
 		if flag.NArg() != 0 {
 			fmt.Fprintln(os.Stderr, "usage: bigfoot -trace-replay f.bftrace (no program argument)")
 			return 2
 		}
-		return replayTrace(*traceRep, *stats, *explain)
-	}
-	if flag.NArg() != 1 || *runs < 1 {
+	case flag.NArg() != 1 || *runs < 1:
 		fmt.Fprintln(os.Stderr, "usage: bigfoot [-mode M] [-seed N] [-runs K] [-show] [-stats] file.bfj")
 		return 2
-	}
-	mode, ok := modes[strings.ToLower(*modeName)]
-	if !ok {
+	case !ok:
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeName)
 		return 2
-	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	prog, err := bigfoot.Parse(string(src))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", flag.Arg(0), err)
-		return 1
-	}
-	inst := prog.Instrument(mode)
-	if *show {
-		fmt.Print(inst.Text())
-		return 0
 	}
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -124,6 +123,24 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "bigfoot: %v\n", err)
 		}
 	}()
+	if *traceRep != "" {
+		return replayTrace(*traceRep, *traceOut, *stats, *explain)
+	}
+	src, err := os.ReadFile(flag.Arg(0))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	prog, err := bigfoot.Parse(string(src))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", flag.Arg(0), err)
+		return 1
+	}
+	inst := prog.Instrument(mode)
+	if *show {
+		fmt.Print(inst.Text())
+		return 0
+	}
 	// Compile once; every seed below reuses the artifact.
 	compiled, err := inst.Compile()
 	if err != nil {
@@ -134,13 +151,14 @@ func run() int {
 	var races []bigfoot.Race
 	for k := 0; k < *runs; k++ {
 		s := *seed + int64(k)
-		var out io.Writer
-		var rec *bigfoot.Recorder
+		cfg := bigfoot.RunConfig{Seed: s, DebugCensus: *debugCen}
+		var recording bytes.Buffer // the first seed's, for -trace-out
 		var recFile *os.File
 		if k == 0 {
-			out = os.Stdout // print output once; later seeds only hunt races
+			cfg.Out = os.Stdout // print output once; later seeds only hunt races
+			var sinks []io.Writer
 			if *traceOut != "" {
-				rec = bigfoot.NewRecorder(0) // trace the first seed only
+				sinks = append(sinks, &recording)
 			}
 			if *traceRec != "" {
 				recFile, err = os.Create(*traceRec)
@@ -148,12 +166,12 @@ func run() int {
 					fmt.Fprintf(os.Stderr, "bigfoot: %v\n", err)
 					return 1
 				}
+				sinks = append(sinks, recFile)
 			}
-		}
-		cfg := bigfoot.RunConfig{Seed: s, Out: out, Trace: rec, DebugCensus: *debugCen}
-		if recFile != nil {
-			cfg.Record = recFile
-			cfg.RecordName = strings.TrimSuffix(filepath.Base(flag.Arg(0)), ".bfj")
+			if len(sinks) > 0 {
+				cfg.Record = io.MultiWriter(sinks...)
+				cfg.RecordName = strings.TrimSuffix(filepath.Base(flag.Arg(0)), ".bfj")
+			}
 		}
 		rep, err := compiled.Run(cfg)
 		if recFile != nil {
@@ -168,12 +186,11 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "runtime error (seed %d): %v\n", s, err)
 			return 1
 		}
-		if rec != nil {
-			if err := writeTrace(*traceOut, rec); err != nil {
+		if k == 0 && *traceOut != "" {
+			if _, _, err := replay(&recording, *traceOut); err != nil {
 				fmt.Fprintf(os.Stderr, "bigfoot: %v\n", err)
 				return 1
 			}
-			fmt.Fprintf(os.Stderr, "trace: %d events (%d dropped) -> %s\n", rec.Len(), rec.Dropped(), *traceOut)
 		}
 		if *stats && k == 0 {
 			fmt.Fprintf(os.Stderr, "mode=%s accesses=%d checks=%d ratio=%.3f shadowOps=%d shadowWords=%d\n",
@@ -202,16 +219,17 @@ func run() int {
 
 // replayTrace re-analyzes a recorded .bftrace offline: the persisted
 // hook stream runs through the recorded detector, reproducing the live
-// run's races and statistics without re-interpreting the program.
-// Exit codes mirror a live run: 0 clean, 1 replay failure, 3 races.
-func replayTrace(path string, stats, explain bool) int {
+// run's races and statistics without re-interpreting the program, and
+// -trace-out renders the recording's Chrome view.  Exit codes mirror a
+// live run: 0 clean, 1 replay failure, 3 races.
+func replayTrace(path, chromePath string, stats, explain bool) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	defer f.Close()
-	rep, variant, err := bigfoot.ReplayTrace(f)
+	rep, variant, err := replay(f, chromePath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bigfoot: replay %s: %v\n", path, err)
 		return 1
@@ -232,6 +250,28 @@ func replayTrace(path string, stats, explain bool) int {
 		}
 	}
 	return 3
+}
+
+// replay re-analyzes a recording; a non-empty chromePath receives the
+// replayed execution as Chrome trace_event JSON, checked to be valid.
+func replay(recording io.Reader, chromePath string) (*bigfoot.Report, string, error) {
+	var js bytes.Buffer
+	var chrome io.Writer
+	if chromePath != "" {
+		chrome = &js
+	}
+	rep, variant, err := bigfoot.ReplayTrace(recording, chrome)
+	if err != nil || chrome == nil {
+		return rep, variant, err
+	}
+	if !json.Valid(js.Bytes()) {
+		return nil, variant, fmt.Errorf("trace: emitted invalid JSON (%d bytes)", js.Len())
+	}
+	if err := os.WriteFile(chromePath, js.Bytes(), 0o644); err != nil {
+		return nil, variant, err
+	}
+	fmt.Fprintf(os.Stderr, "trace: %s view -> %s\n", variant, chromePath)
+	return rep, variant, nil
 }
 
 func kindName(write bool) string {
@@ -270,17 +310,4 @@ func explainRace(w io.Writer, file string, r bigfoot.Race) {
 		kindName(r.PrevWrite), r.Location, site(file, r.PrevPos), r.PrevPos, r.Threads[0])
 	fmt.Fprintf(w, "  later:   %-5s of %s at %s (line:col %s) by thread %d\n",
 		kindName(r.CurWrite), r.Location, site(file, r.CurPos), r.CurPos, r.Threads[1])
-}
-
-// writeTrace renders the recorder as Chrome trace_event JSON, verifies
-// the bytes are valid JSON, and writes them to path.
-func writeTrace(path string, rec *bigfoot.Recorder) error {
-	var buf bytes.Buffer
-	if err := rec.WriteChrome(&buf); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if !json.Valid(buf.Bytes()) {
-		return fmt.Errorf("trace: emitted invalid JSON (%d bytes)", buf.Len())
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
 }

@@ -20,7 +20,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -158,35 +157,17 @@ func New(opts Options) *Engine {
 // disabled.
 func (e *Engine) Cache() *Cache { return e.cache }
 
-// PlacementStats describes the static cost of one variant's check
-// placement.  For the BF variant the analysis fields are populated from
-// the full static analysis; the static instrumenters (FT/SS every
-// access, RC/SC RedCard) fill only ChecksPlaced.
-type PlacementStats struct {
-	BodiesAnalyzed int
-	ChecksPlaced   int
-	CheckItems     int
-	AnalysisTime   time.Duration
-}
-
-// placementStatsOf converts the static analyzer's stats.
-func placementStatsOf(st analysis.Stats) PlacementStats {
-	return PlacementStats{
-		BodiesAnalyzed: st.BodiesAnalyzed,
-		ChecksPlaced:   st.ChecksPlaced,
-		CheckItems:     st.CheckItems,
-		AnalysisTime:   st.AnalysisTime,
-	}
-}
-
 // Placement is a program instrumented for one detector variant but not
 // yet compiled: the check-carrying AST, the proxy table (nil for
-// variants without static field proxies), and the placement cost.
+// variants without static field proxies), and the placement cost.  For
+// the BF variant Stats carries the full static analysis's cost; the
+// static instrumenters (FT/SS every access, RC/SC RedCard) fill only
+// ChecksPlaced.
 type Placement struct {
 	Name    string
 	Prog    *bfj.Program
 	Proxies *proxy.Table
-	Stats   PlacementStats
+	Stats   analysis.Stats
 }
 
 // InstrumentFor places race checks on base according to the named
@@ -211,7 +192,7 @@ func InstrumentFor(base *bfj.Program, name string) *Placement {
 	case bigFoot:
 		an := analysis.New(base, analysis.DefaultOptions())
 		p.Prog = an.Instrument()
-		p.Stats = placementStatsOf(an.Stats)
+		p.Stats = an.Stats
 		p.Proxies = proxy.Analyze(p.Prog)
 	}
 	return p
@@ -224,7 +205,7 @@ type Variant struct {
 	Name     string
 	Compiled *interp.Compiled
 	Proxies  *proxy.Table
-	Stats    PlacementStats
+	Stats    analysis.Stats
 	prog     *bfj.Program
 }
 
@@ -312,7 +293,7 @@ type Artifact struct {
 	Hash string
 	// Stats is the BigFoot placement's analysis cost (zero when BF was
 	// not requested).
-	Stats   PlacementStats
+	Stats   analysis.Stats
 	Timings BuildTimings
 
 	Base     *Variant
@@ -456,9 +437,6 @@ func (e *Engine) BuildSource(src string, spec BuildSpec) (*Artifact, bool, error
 
 // RunSpec configures one execution.
 type RunSpec struct {
-	// DetectorName labels the detector in race reports and stats; empty
-	// uses the variant's canonical name.
-	DetectorName string
 	// Seed drives the deterministic thread schedule.
 	Seed int64
 	// MaxSteps bounds the execution's interpreted steps (0 = interpreter
@@ -469,12 +447,10 @@ type RunSpec struct {
 	Timeout time.Duration
 	// Out receives print-statement output (nil discards).
 	Out io.Writer
-	// Trace, when non-nil, records the execution's event stream.
-	Trace *trace.Recorder
 	// Record, when non-nil, persists the execution's hook stream in the
-	// compressed trace format (trace.Writer) for offline replay.  The
-	// engine writes header, chunks, and footer; the caller owns the
-	// underlying writer (open/close the file).
+	// compressed trace format (trace.Writer) for offline replay, the
+	// only trace a live run records.  The engine writes header, chunks,
+	// and footer; the caller owns the underlying writer.
 	Record io.Writer
 	// RecordMeta labels a recorded trace's header (ignored when Record
 	// is nil).
@@ -521,13 +497,12 @@ type Outcome struct {
 	FastPaths detector.FastPathStats
 }
 
-// newDetection builds one execution's detector and hook chain: the
-// BFTR writer first (the persisted stream is the pristine hook order,
-// ahead of recorder and detector side effects), then the ring recorder
-// (each check event is recorded before the detector emits the observer
-// events it derives from that check), then the detector.  A nil cfg is
-// the base configuration: no detector, and d is nil.
-func newDetection(cfg *detector.Config, rec *trace.Recorder, tw *trace.Writer) (d *detector.Detector, hook interp.Hook) {
+// newDetection builds one execution's detector and hook chain, leaving
+// out nil stages: the BFTR writer (Run), then the ring recorder
+// (Replay; each check event is recorded before the observer events the
+// detector derives from it), then the detector.  A nil cfg is the base
+// configuration: no detector, and d is nil.
+func newDetection(cfg *detector.Config, tw *trace.Writer, rec *trace.Recorder) (d *detector.Detector, hook interp.Hook) {
 	hooks := make([]interp.Hook, 0, 3)
 	if tw != nil {
 		hooks = append(hooks, tw)
@@ -563,7 +538,7 @@ func fillDetector(out *Outcome, d *detector.Detector) {
 
 // Run executes one variant — or the uninstrumented base, which runs
 // without a detector — under the budgets.  This is the single execution
-// path of the system: detector construction, hook assembly (trace
+// path of the system: detector construction, hook assembly (BFTR
 // recording), budget enforcement, and outcome extraction all live here.
 // The returned Outcome is populated (with whatever completed) even when
 // err is non-nil, so batch clients can attribute partial work.
@@ -587,10 +562,9 @@ func (e *Engine) Run(ctx context.Context, v *Variant, spec RunSpec) (*Outcome, e
 	}
 	cfg := DetectorConfig(v.Name, v.Proxies)
 	if cfg != nil {
-		cfg.Name = cmp.Or(spec.DetectorName, v.Name)
 		cfg.DebugCensus = spec.DebugCensus
 	}
-	d, hook := newDetection(cfg, spec.Trace, tw)
+	d, hook := newDetection(cfg, tw, nil)
 	if spec.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, spec.Timeout)

@@ -36,7 +36,11 @@ type Replayed struct {
 //
 // Base traces (variant "base") replay without a detector and reproduce
 // the base counters.
-func Replay(r io.Reader) (*Replayed, error) {
+//
+// A non-nil rec receives the stream ahead of the detector and observes
+// it, as a Recorder wired into the live run would: it renders the
+// execution's Chrome view.
+func Replay(r io.Reader, rec *trace.Recorder) (*Replayed, error) {
 	rd, err := trace.NewReader(r)
 	if err != nil {
 		return nil, err
@@ -47,7 +51,7 @@ func Replay(r io.Reader) (*Replayed, error) {
 		return nil, fmt.Errorf("trace records unknown variant %q", hdr.Variant)
 	}
 	res := &Replayed{Header: hdr, Outcome: &Outcome{Variant: hdr.Variant}}
-	d, hook := newDetection(cfg, nil, nil)
+	d, hook := newDetection(cfg, nil, rec)
 
 	start := time.Now()
 	n, err := rd.Replay(hook)

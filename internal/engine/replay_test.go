@@ -5,6 +5,10 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"bigfoot/internal/detector"
+	"bigfoot/internal/interp"
+	"bigfoot/internal/trace"
 )
 
 // recordVariant runs one variant with Record wired and returns the
@@ -73,7 +77,7 @@ func TestReplayReproducesLiveOutcome(t *testing.T) {
 		for _, v := range append([]*Variant{art.Base}, art.Variants...) {
 			for _, seed := range []int64{0, 7} {
 				buf, live := recordVariant(t, e, v, seed)
-				rep, err := Replay(bytes.NewReader(buf.Bytes()))
+				rep, err := Replay(bytes.NewReader(buf.Bytes()), nil)
 				if err != nil {
 					t.Fatalf("%s seed %d: %v", v.Name, seed, err)
 				}
@@ -94,6 +98,67 @@ func TestReplayReproducesLiveOutcome(t *testing.T) {
 	}
 }
 
+// looper emits well over trace.DefaultCapacity events (70k writes
+// alone), so a default-capacity Recorder wraps.
+const looper = `class Cell { field v; }
+setup { c = new Cell; }
+thread {
+  for (i = 0; i < 35000; i = i + 1) { c.v = i; }
+}
+thread {
+  for (i = 0; i < 35000; i = i + 1) { c.v = i; }
+}
+`
+
+// TestReplayRendersLiveChromeView: the Chrome view rendered from a
+// replay is byte-identical to that of a Recorder wired into the live
+// run ahead of the detector and observing it, for the base run and
+// every variant, and for a run long enough to wrap the ring.
+func TestReplayRendersLiveChromeView(t *testing.T) {
+	e, art := buildAll(t, mixed)
+	for _, v := range append([]*Variant{art.Base}, art.Variants...) {
+		checkChromeReplay(t, e, v)
+	}
+	e, art = buildAll(t, looper)
+	if live := checkChromeReplay(t, e, art.Variant("BF")); live.Dropped() == 0 {
+		t.Errorf("looper: %d events did not wrap the ring", live.Len())
+	}
+}
+
+// checkChromeReplay runs v live into a Recorder, records the same run
+// through the engine, and compares the live Chrome view with the one
+// Replay renders.  It returns the live recorder.
+func checkChromeReplay(t *testing.T, e *Engine, v *Variant) *trace.Recorder {
+	t.Helper()
+	const seed = 7
+	live := trace.NewRecorder(0)
+	hook := interp.Hook(live)
+	if cfg := DetectorConfig(v.Name, v.Proxies); cfg != nil {
+		d := detector.New(*cfg)
+		d.SetObserver(live)
+		hook = interp.Tee(live, d)
+	}
+	if _, err := v.Compiled.Run(hook, interp.Options{Seed: seed}); err != nil {
+		t.Fatalf("%s: live run: %v", v.Name, err)
+	}
+	buf, _ := recordVariant(t, e, v, seed)
+	replayed := trace.NewRecorder(0)
+	if _, err := Replay(bytes.NewReader(buf.Bytes()), replayed); err != nil {
+		t.Fatalf("%s: replay: %v", v.Name, err)
+	}
+	var want, got bytes.Buffer
+	if err := live.WriteChrome(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := replayed.WriteChrome(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("%s: replayed Chrome view (%d bytes) differs from live (%d bytes)", v.Name, got.Len(), want.Len())
+	}
+	return live
+}
+
 // TestReplayBaseTrace: base traces carry variant "base", replay without
 // a detector, and reproduce the base counters from the footer.
 func TestReplayBaseTrace(t *testing.T) {
@@ -103,7 +168,7 @@ func TestReplayBaseTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Replay(bytes.NewReader(buf.Bytes()))
+	rep, err := Replay(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +194,7 @@ func TestRecordFailedRun(t *testing.T) {
 	if err == nil {
 		t.Fatal("spinner under 5000 steps succeeded; want step-limit error")
 	}
-	rep, rerr := Replay(bytes.NewReader(buf.Bytes()))
+	rep, rerr := Replay(bytes.NewReader(buf.Bytes()), nil)
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
@@ -155,7 +220,7 @@ func TestPipelineDrainsOnError(t *testing.T) {
 	if err == nil {
 		t.Fatal("want step-limit error")
 	}
-	rep, rerr := Replay(bytes.NewReader(buf.Bytes()))
+	rep, rerr := Replay(bytes.NewReader(buf.Bytes()), nil)
 	if rerr != nil {
 		t.Fatalf("trace from failed run does not replay: %v", rerr)
 	}

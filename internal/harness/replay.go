@@ -89,7 +89,7 @@ func replayFile(path string) (*engine.Replayed, error) {
 		return nil, err
 	}
 	defer f.Close()
-	res, err := engine.Replay(f)
+	res, err := engine.Replay(f, nil)
 	if err != nil {
 		return nil, err
 	}

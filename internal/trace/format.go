@@ -221,12 +221,6 @@ func (tw *Writer) Close(c interp.Counters, runErr error) error {
 	return tw.err
 }
 
-// Err returns the sticky I/O error, if any.
-func (tw *Writer) Err() error { return tw.err }
-
-// Events returns the number of events recorded so far.
-func (tw *Writer) Events() uint64 { return tw.total }
-
 func (tw *Writer) flushChunk() {
 	if tw.n == 0 || tw.err != nil {
 		tw.buf = tw.buf[:0]
@@ -547,9 +541,6 @@ func (rd *Reader) Header() Header { return rd.hdr }
 // Footer returns the trace's footer; valid only after Replay returned
 // successfully.
 func (rd *Reader) Footer() Footer { return rd.ftr }
-
-// Events returns the number of events replayed so far.
-func (rd *Reader) Events() uint64 { return rd.total }
 
 // Replay streams every recorded event into h in recorded order and
 // returns the event count.  It verifies the footer's event total, so a

@@ -1,14 +1,12 @@
-// Package trace records the globally serialized event stream of one
-// execution — the interp.Hook events plus the detector-side dynamics
-// (footprint commits, array-mode refinements, shadow-state transitions)
-// — into a bounded ring buffer, and exports it as Chrome trace_event
-// JSON viewable in Perfetto or chrome://tracing.
-//
-// The recorder relies on the interpreter's scheduler-token serialization
-// (hook callbacks never run concurrently), so it needs no locking and
-// the recorded order is the deterministic execution order for a given
-// seed.  A nil recorder is never consulted: tracing is opt-in at hook
-// wiring time (see Tee), keeping the untraced path untouched.
+// Package trace records executions and renders them.  A live run
+// records one artifact, the compressed BFTR stream of its interp.Hook
+// events (Writer; see format.go).  The Chrome view is a replay
+// consumer: engine.Replay feeds the bounded ring Recorder the replayed
+// stream plus the detector-side dynamics (footprint commits, array-mode
+// refinements, shadow-state transitions), and WriteChrome exports it as
+// Chrome trace_event JSON viewable in Perfetto or chrome://tracing.
+// Replay is sequential, so the Recorder needs no locking and its order
+// is the deterministic execution order of the recorded seed.
 package trace
 
 import (

@@ -97,17 +97,17 @@ func TestPointmoveRaceFree(t *testing.T) {
 	}
 }
 
-// TestRunConfigTrace: attaching a Recorder records the execution
-// without changing any reported number, and the Chrome export is valid
-// JSON with the program's threads.
-func TestRunConfigTrace(t *testing.T) {
+// TestRecordChromeView: recording a run changes no reported number, and
+// replaying the recording renders a valid Chrome export with the
+// program's threads.
+func TestRecordChromeView(t *testing.T) {
 	inst := bigfoot.MustParse(racySrc).Instrument(bigfoot.BigFoot)
 	plain, err := inst.Run(bigfoot.RunConfig{Seed: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := bigfoot.NewRecorder(0)
-	traced, err := inst.Run(bigfoot.RunConfig{Seed: 0, Trace: rec})
+	var recording bytes.Buffer
+	traced, err := inst.Run(bigfoot.RunConfig{Seed: 0, Record: &recording})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +115,34 @@ func TestRunConfigTrace(t *testing.T) {
 		traced.Checks != plain.Checks ||
 		traced.ShadowOps != plain.ShadowOps ||
 		traced.FootprintOps != plain.FootprintOps {
-		t.Errorf("tracing changed results: %+v vs %+v", traced, plain)
-	}
-	if rec.Len() == 0 {
-		t.Fatal("recorder captured nothing")
-	}
-	if len(rec.Threads()) < 3 {
-		t.Errorf("threads = %v, want main + two workers", rec.Threads())
+		t.Errorf("recording changed results: %+v vs %+v", traced, plain)
 	}
 	var buf bytes.Buffer
-	if err := rec.WriteChrome(&buf); err != nil {
+	if _, _, err := bigfoot.ReplayTrace(&recording, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {
-		t.Error("Chrome export is not valid JSON")
+		t.Fatal("Chrome export is not valid JSON")
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Phase string `json:"ph"`
+			TID   int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	lanes := 0
+	for _, e := range doc.TraceEvents {
+		if e.Phase == "M" {
+			lanes++
+		}
+	}
+	if len(doc.TraceEvents) == lanes {
+		t.Fatal("Chrome export holds no events")
+	}
+	if lanes < 3 {
+		t.Errorf("thread lanes = %d, want main + two workers", lanes)
 	}
 }
